@@ -50,7 +50,6 @@ from .model import (
     empirical_moments,
     perturb_within_gelbrich_ball,
     ring_chords_laplacian,
-    sample_disturbance,
     synthetic_power_grid,
     zoh_discretize,
 )

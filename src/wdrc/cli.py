@@ -2,8 +2,7 @@
 
 Subcommands: design, simulate, compare, sweep-theta, sweep-lambda, tune.
 Exit codes: 0 success, 1 malformed config, 2 assumption violation,
-3 solver non-convergence. The WDRC_NUM_THREADS environment variable sets the
-default Monte Carlo thread count; outputs do not depend on it.
+3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .model import (
     distribution_from_json,
     empirical_moments,
     NominalMoments,
-    synthetic_power_grid,
     system_from_json,
     weights_from_json,
     zoh_discretize,
@@ -81,26 +79,20 @@ def _build_system(raw, path="system"):
         n_gen = int(_require(g, "n_gen", path + ".power_grid"))
         observed = int(g.get("observed_gens", n_gen))
         dt = float(g.get("dt", 0.1))
+        lap = g.get("laplacian")
         try:
-            if "inertia" in g or "damping" in g or "laplacian" in g:
-                lap = g.get("laplacian")
-                system, weights = build_power_system(
-                    n_gen,
-                    g.get("inertia", np.ones(n_gen)),
-                    g.get("damping", np.ones(n_gen)),
-                    ring_chords_laplacian(n_gen) if lap is None else lap,
-                    observed,
-                    measurement_cov=g.get("M"),
-                    m0=g.get("m0"),
-                    M0=g.get("M0"),
-                )
-                A_d, B_d = zoh_discretize(system.A, system.B, dt)
-                system = system.replace(A=A_d, B=B_d)
-            else:
-                system, weights = synthetic_power_grid(
-                    n_gen, observed, dt,
-                    measurement_cov=g.get("M"), m0=g.get("m0"), M0=g.get("M0"),
-                )
+            system, weights = build_power_system(
+                n_gen,
+                g.get("inertia", np.ones(n_gen)),
+                g.get("damping", np.ones(n_gen)),
+                ring_chords_laplacian(n_gen) if lap is None else lap,
+                observed,
+                measurement_cov=g.get("M"),
+                m0=g.get("m0"),
+                M0=g.get("M0"),
+            )
+            A_d, B_d = zoh_discretize(system.A, system.B, dt)
+            system = system.replace(A=A_d, B=B_d)
         except ValueError as exc:
             raise ConfigError(path + ".power_grid", str(exc))
         return system, weights

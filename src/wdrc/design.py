@@ -87,15 +87,17 @@ class PolicyBundle:
     provenance: dict
 
     def control(self, x_bar):
-        """u = K x_bar + L for the bundle's method."""
+        """u = K x_bar + L for the bundle's method; ``x_bar`` may stack
+        beliefs along leading axes."""
         if self.method == "WDRC":
-            return self.steady.K @ x_bar + self.steady.L
-        return self.lqg.K @ x_bar + self.lqg.L
+            return x_bar @ self.steady.K.T + self.steady.L
+        return x_bar @ self.lqg.K.T + self.lqg.L
 
     def disturbance_mean(self, x_bar):
-        """Disturbance mean fed to the estimator's prediction step."""
+        """Disturbance mean fed to the estimator's prediction step; the
+        adversarial mean H x_bar + G for WDRC, the nominal mean for LQG."""
         if self.method == "WDRC":
-            return self.steady.H @ x_bar + self.steady.G
+            return x_bar @ self.steady.H.T + self.steady.G
         return self.nominal.w_hat
 
 

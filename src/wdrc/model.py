@@ -30,7 +30,6 @@ __all__ = [
     "synthetic_power_grid",
     "zoh_discretize",
     "empirical_moments",
-    "sample_disturbance",
     "perturb_within_gelbrich_ball",
     "distribution_from_json",
     "distribution_to_json",
@@ -235,15 +234,6 @@ class Empirical(DisturbanceModel):
     def sample(self, rng, size=None):
         idx = rng.integers(self.samples.shape[0], size=size)
         return self.samples[idx]
-
-
-def sample_disturbance(model, rng, size=None):
-    """Draw from a disturbance model using the supplied generator.
-
-    Identical generator state produces identical draws; passing ``size``
-    returns a (size, n) block drawn in one call.
-    """
-    return model.sample(rng, size)
 
 
 def empirical_moments(samples, jitter=0.0):

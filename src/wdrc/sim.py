@@ -2,24 +2,21 @@
 
 Every run is a deterministic function of (bundle, truth, horizon, seed); a
 Monte Carlo summary derives one independent substream per run from the base
-seed, so results do not depend on execution order or thread count. Draw
-order inside a run is fixed: initial state, then all process disturbances,
-then all measurement noises.
+seed, so results depend only on the seed, not on execution order or on how
+many runs are stepped together. Draw order inside a run is fixed: initial
+state, then all process disturbances, then all measurement noises.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import psd_sqrt, spectral_radius, sym
+from ._linalg import spectral_radius, sym
 from .ambiguity import bures_squared
 from .design import design_wdrc, tune_lambda
-from .estimator import BeliefState, filter_step
 from .exceptions import AssumptionViolated, NoAdmissibleLambda, NoConvergence
 from .model import Gaussian, empirical_moments
 
@@ -37,7 +34,9 @@ __all__ = [
     "write_trace_csv",
 ]
 
-THREADS_ENV_VAR = "WDRC_NUM_THREADS"
+# Runs stepped together by the Monte Carlo drivers; bounds the memory held by
+# stacked draws and trajectories. Results do not depend on it.
+_BLOCK_RUNS = 32
 
 
 @dataclass(frozen=True)
@@ -94,11 +93,93 @@ def _seed_sequence(seed):
     return np.random.SeedSequence(seed)
 
 
-def _gelbrich_penalty_parts(bundle):
-    """(lam, w_hat, constant covariance part of the per-stage penalty)."""
-    st = bundle.steady
-    cov_part = bures_squared(st.Sigma_star, bundle.nominal.sigma_hat)
-    return st.lam, bundle.nominal.w_hat, cov_part
+def _spawn(base_seed, runs):
+    """One independent seed per run, spawned from the base seed."""
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    return _seed_sequence(base_seed).spawn(runs)
+
+
+def _quadratic(x, W):
+    """x' W x over the last axis."""
+    return np.sum((x @ W) * x, axis=-1)
+
+
+def _simulate(bundle, seeds, horizon, truth, x0_model=None, v_model=None,
+              worst_case=False):
+    """Step one run per seed at once under the bundle's policy.
+
+    Each run draws from its own generator: initial state from ``x0_model``
+    (default N(m0, M0)), then ``horizon`` disturbances from ``truth``, then
+    ``horizon + 1`` measurement noises from ``v_model`` (default N(0, M)).
+    The estimator runs in steady mode with the bundle's gain, fed the
+    method's disturbance mean; with ``worst_case`` the plant is driven by
+    that mean as well. Returns (x, x_hat, u, y, stage, penalized, terminal),
+    each indexed by run first.
+    """
+    system, weights = bundle.system, bundle.weights
+    n, ny = system.n_x, system.n_y
+    T = int(horizon)
+    if T < 1:
+        raise ValueError("horizon must be >= 1")
+    x0_model = x0_model or Gaussian(system.m0, system.M0)
+    v_model = v_model or Gaussian(np.zeros(ny), system.M)
+
+    x0s, ws, vs = [], [], []
+    for seed in seeds:
+        rng = np.random.default_rng(_seed_sequence(seed))
+        x0s.append(x0_model.sample(rng))
+        ws.append(np.atleast_2d(truth.sample(rng, T)))
+        vs.append(np.atleast_2d(v_model.sample(rng, T + 1)))
+    w, v = np.array(ws), np.array(vs)
+    if w.shape[1:] != (T, n) or v.shape[1:] != (T + 1, ny):
+        raise ValueError("disturbance model dimension mismatch with the plant")
+
+    At, Bt, Ct = system.A.T, system.B.T, system.C.T
+    gain_t = bundle.estimator_gain.T
+    runs = len(x0s)
+    x = np.zeros((runs, T + 1, n))
+    x_hat = np.zeros((runs, T + 1, n))
+    u = np.zeros((runs, T, system.n_u))
+    y = np.zeros((runs, T + 1, ny))
+
+    x[:, 0] = x0s
+    y[:, 0] = x[:, 0] @ Ct + v[:, 0]
+    x_hat[:, 0] = system.m0 + (y[:, 0] - system.C @ system.m0) @ gain_t
+    for t in range(T):
+        u[:, t] = bundle.control(x_hat[:, t])
+        w_bar = bundle.disturbance_mean(x_hat[:, t])
+        bu = u[:, t] @ Bt
+        x[:, t + 1] = x[:, t] @ At + bu + w[:, t]
+        if worst_case:
+            x[:, t + 1] += w_bar
+        y[:, t + 1] = x[:, t + 1] @ Ct + v[:, t + 1]
+        x_pred = x_hat[:, t] @ At + bu + w_bar
+        x_hat[:, t + 1] = x_pred + (y[:, t + 1] - x_pred @ Ct) @ gain_t
+
+    stage = _quadratic(x[:, :T], weights.Q) + _quadratic(u, weights.R)
+    terminal = _quadratic(x[:, T], weights.Qf)
+    if not (np.all(np.isfinite(stage)) and np.all(np.isfinite(terminal))):
+        raise ValueError("trace costs must be finite")
+    penalized = stage
+    if bundle.method == "WDRC":
+        lam, w_hat = bundle.steady.lam, bundle.nominal.w_hat
+        pen_cov = bures_squared(bundle.steady.Sigma_star, bundle.nominal.sigma_hat)
+        w_bar = bundle.disturbance_mean(x_hat[:, :T])
+        penalized = stage - lam * (np.sum((w_bar - w_hat) ** 2, axis=-1) + pen_cov)
+    return x, x_hat, u, y, stage, penalized, terminal
+
+
+def _run_costs(bundle, seeds, horizon, truth, **kwargs):
+    """(total cost, average cost, penalized average cost) of each run."""
+    totals, averages, penalized = [], [], []
+    for i in range(0, len(seeds), _BLOCK_RUNS):
+        *_, stage, pen, terminal = _simulate(bundle, seeds[i:i + _BLOCK_RUNS],
+                                             horizon, truth, **kwargs)
+        totals.append(stage.sum(axis=1) + terminal)
+        averages.append(stage.mean(axis=1))
+        penalized.append(pen.mean(axis=1))
+    return np.concatenate(totals), np.concatenate(averages), np.concatenate(penalized)
 
 
 def run_closed_loop(bundle, truth, horizon, seed, x0_model=None, v_model=None):
@@ -109,90 +190,21 @@ def run_closed_loop(bundle, truth, horizon, seed, x0_model=None, v_model=None):
     models for deterministic runs). The estimator runs in steady mode with
     the bundle's gain, fed the method's disturbance mean each step.
     """
-    system = bundle.system
-    weights = bundle.weights
-    A, B, C = system.A, system.B, system.C
-    n, nu, ny = system.n_x, system.n_u, system.n_y
-    T = int(horizon)
-    if T < 1:
-        raise ValueError("horizon must be >= 1")
-
-    rng = np.random.default_rng(_seed_sequence(seed))
-    x0_model = x0_model or Gaussian(system.m0, system.M0)
-    v_model = v_model or Gaussian(np.zeros(ny), system.M)
-    x0 = x0_model.sample(rng)
-    w_draws = np.atleast_2d(truth.sample(rng, T))
-    v_draws = np.atleast_2d(v_model.sample(rng, T + 1))
-    if w_draws.shape != (T, n) or v_draws.shape != (T + 1, ny):
-        raise ValueError("disturbance model dimension mismatch with the plant")
-
-    x_cov_ss = bundle.steady.X_post if bundle.method == "WDRC" else bundle.lqg.X_post
-    gain = bundle.estimator_gain
-    is_wdrc = bundle.method == "WDRC"
-    if is_wdrc:
-        lam, w_hat, pen_cov = _gelbrich_penalty_parts(bundle)
-
-    x = np.zeros((T + 1, n))
-    x_hat = np.zeros((T + 1, n))
-    u = np.zeros((T, nu))
-    y = np.zeros((T + 1, ny))
-    stage = np.zeros(T)
-    penalized = np.zeros(T)
-
-    x[0] = x0
-    y[0] = C @ x0 + v_draws[0]
-    x_hat[0] = system.m0 + gain @ (y[0] - C @ system.m0)
-    belief = BeliefState(x_hat[0], x_cov_ss)
-
-    for t in range(T):
-        u[t] = bundle.control(belief.x_bar)
-        stage[t] = x[t] @ weights.Q @ x[t] + u[t] @ weights.R @ u[t]
-        w_bar = bundle.disturbance_mean(belief.x_bar)
-        if is_wdrc:
-            penalized[t] = stage[t] - lam * (float(np.sum((w_bar - w_hat) ** 2)) + pen_cov)
-        else:
-            penalized[t] = stage[t]
-        x[t + 1] = A @ x[t] + B @ u[t] + w_draws[t]
-        y[t + 1] = C @ x[t + 1] + v_draws[t + 1]
-        belief = filter_step(belief, u[t], w_bar, y[t + 1], system,
-                             x_cov_ss=x_cov_ss, gain=gain)
-        x_hat[t + 1] = belief.x_bar
-
-    terminal = float(x[T] @ weights.Qf @ x[T])
-    return SimulationTrace(horizon=T, x=x, x_hat=x_hat, u=u, y=y,
-                           stage_cost=stage, penalized_stage_cost=penalized,
-                           terminal_cost=terminal)
+    x, x_hat, u, y, stage, penalized, terminal = _simulate(
+        bundle, [seed], horizon, truth, x0_model=x0_model, v_model=v_model)
+    return SimulationTrace(horizon=int(horizon), x=x[0], x_hat=x_hat[0], u=u[0],
+                           y=y[0], stage_cost=stage[0],
+                           penalized_stage_cost=penalized[0],
+                           terminal_cost=float(terminal[0]))
 
 
-def _default_threads():
-    value = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
-def monte_carlo_summary(bundle, truth, horizon, runs, base_seed, threads=None,
+def monte_carlo_summary(bundle, truth, horizon, runs, base_seed,
                         x0_model=None, v_model=None):
     """Cost statistics over independent runs; deterministic given base_seed."""
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    children = _seed_sequence(base_seed).spawn(runs)
-    threads = _default_threads() if threads is None else max(1, int(threads))
+    children = _spawn(base_seed, runs)
     start = time.perf_counter()
-
-    def one(child):
-        trace = run_closed_loop(bundle, truth, horizon, child,
-                                x0_model=x0_model, v_model=v_model)
-        return trace.total_cost, trace.average_cost
-
-    if threads == 1:
-        results = [one(child) for child in children]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, children))  # run-indexed order
-    totals = np.array([r[0] for r in results])
-    averages = np.array([r[1] for r in results])
+    totals, averages, _ = _run_costs(bundle, children, horizon, truth,
+                                     x0_model=x0_model, v_model=v_model)
     wall = time.perf_counter() - start
     std = float(totals.std(ddof=1)) if runs > 1 else 0.0
     return CostSummary(mean_total_cost=float(totals.mean()), std_total_cost=std,
@@ -209,37 +221,11 @@ def penalized_average_cost(bundle, horizon, runs, base_seed, x0_model=None):
     """
     if bundle.method != "WDRC":
         raise ValueError("penalized average cost is defined for WDRC bundles")
-    system = bundle.system
-    weights = bundle.weights
-    A, B, C = system.A, system.B, system.C
-    n, ny = system.n_x, system.n_y
-    T = int(horizon)
-    st = bundle.steady
-    lam, w_hat, pen_cov = _gelbrich_penalty_parts(bundle)
-    noise_root = psd_sqrt(st.Sigma_star)
-    gain = bundle.estimator_gain
-    x0_model = x0_model or Gaussian(system.m0, system.M0)
-
-    values = np.zeros(runs)
-    for i, child in enumerate(_seed_sequence(base_seed).spawn(runs)):
-        rng = np.random.default_rng(child)
-        x = x0_model.sample(rng)
-        z = rng.standard_normal((T, n))
-        v = rng.standard_normal((T + 1, ny)) @ psd_sqrt(system.M).T
-        y0 = C @ x + v[0]
-        x_hat = system.m0 + gain @ (y0 - C @ system.m0)
-        acc = 0.0
-        for t in range(T):
-            u = st.K @ x_hat + st.L
-            w_bar = st.H @ x_hat + st.G
-            acc += x @ weights.Q @ x + u @ weights.R @ u
-            acc -= lam * (float(np.sum((w_bar - w_hat) ** 2)) + pen_cov)
-            x = A @ x + B @ u + w_bar + noise_root @ z[t]
-            y = C @ x + v[t + 1]
-            x_pred = A @ x_hat + B @ u + w_bar
-            x_hat = x_pred + gain @ (y - C @ x_pred)
-        values[i] = acc / T
-    return float(values.mean())
+    noise = Gaussian(np.zeros(bundle.system.n_x), bundle.steady.Sigma_star)
+    children = _spawn(base_seed, runs)
+    *_, penalized = _run_costs(bundle, children, horizon, noise,
+                               x0_model=x0_model, worst_case=True)
+    return float(penalized.mean())
 
 
 def out_of_sample_curve(system, weights, truth, sample_sizes, thetas, runs,

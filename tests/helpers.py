@@ -4,7 +4,8 @@ and independent oracle implementations used by the tests."""
 import numpy as np
 
 import wdrc
-from wdrc._linalg import max_eigval, sym
+from wdrc._linalg import max_eigval, psd_sqrt, sym
+from wdrc.ambiguity import bures_squared
 
 
 def scalar_system(a=1.0, b=1.0, c=1.0, m=1.0, m0=0.0, m0_cov=1.0):
@@ -117,3 +118,42 @@ def taylor_expm(a, terms=30):
         term = term @ a / k
         acc = acc + term
     return acc
+
+
+def penalized_average_cost_loop(bundle, horizon, runs, base_seed, x0_model=None):
+    """Per-run, per-step reference for ``wdrc.penalized_average_cost``.
+
+    Draws each run from its own spawned child in the order x0, disturbance
+    normals, measurement normals, and steps the worst-case closed loop one
+    run and one step at a time.
+    """
+    system, weights, st = bundle.system, bundle.weights, bundle.steady
+    A, B, C = system.A, system.B, system.C
+    n, ny = system.n_x, system.n_y
+    T = int(horizon)
+    lam, w_hat = st.lam, bundle.nominal.w_hat
+    pen_cov = bures_squared(st.Sigma_star, bundle.nominal.sigma_hat)
+    noise_root = psd_sqrt(st.Sigma_star)
+    gain = bundle.estimator_gain
+    x0_model = x0_model or wdrc.Gaussian(system.m0, system.M0)
+
+    values = np.zeros(runs)
+    for i, child in enumerate(np.random.SeedSequence(base_seed).spawn(runs)):
+        rng = np.random.default_rng(child)
+        x = x0_model.sample(rng)
+        z = rng.standard_normal((T, n))
+        v = rng.standard_normal((T + 1, ny)) @ psd_sqrt(system.M).T
+        y0 = C @ x + v[0]
+        x_hat = system.m0 + gain @ (y0 - C @ system.m0)
+        acc = 0.0
+        for t in range(T):
+            u = st.K @ x_hat + st.L
+            w_bar = st.H @ x_hat + st.G
+            acc += x @ weights.Q @ x + u @ weights.R @ u
+            acc -= lam * (float(np.sum((w_bar - w_hat) ** 2)) + pen_cov)
+            x = A @ x + B @ u + w_bar + noise_root @ z[t]
+            y = C @ x + v[t + 1]
+            x_pred = A @ x_hat + B @ u + w_bar
+            x_hat = x_pred + gain @ (y - C @ x_pred)
+        values[i] = acc / T
+    return float(values.mean())

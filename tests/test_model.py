@@ -11,7 +11,6 @@ from wdrc import (
     gelbrich_distance,
     perturb_within_gelbrich_ball,
     ring_chords_laplacian,
-    sample_disturbance,
     synthetic_power_grid,
     zoh_discretize,
 )
@@ -131,25 +130,25 @@ class TestSampling:
     def test_degenerate_gaussian(self):
         model = Gaussian(mean=np.zeros(3), cov=np.zeros((3, 3)))
         rng = np.random.default_rng(1)
-        assert np.abs(sample_disturbance(model, rng)).max() == 0.0
+        assert np.abs(model.sample(rng)).max() == 0.0
 
     def test_uniform_box_support(self):
         model = UniformBox(lo=-0.15 * np.ones(4), hi=0.15 * np.ones(4))
-        draws = sample_disturbance(model, np.random.default_rng(2), size=100_000)
+        draws = model.sample(np.random.default_rng(2), 100_000)
         assert draws.shape == (100_000, 4)
         assert draws.min() >= -0.15 and draws.max() <= 0.15
         assert abs(draws.mean()) < 3 * 0.15 / np.sqrt(12 * 4e5)
 
     def test_seed_determinism(self):
         model = Gaussian(mean=np.ones(3), cov=0.3 * np.eye(3))
-        a = sample_disturbance(model, np.random.default_rng(33), size=10)
-        b = sample_disturbance(model, np.random.default_rng(33), size=10)
+        a = model.sample(np.random.default_rng(33), 10)
+        b = model.sample(np.random.default_rng(33), 10)
         assert np.array_equal(a, b)
 
     def test_empirical_draws_from_support(self):
         pts = np.array([[0.0, 1.0], [2.0, 3.0]])
         model = Empirical(samples=pts)
-        draws = sample_disturbance(model, np.random.default_rng(4), size=50)
+        draws = model.sample(np.random.default_rng(4), 50)
         for d in draws:
             assert any(np.array_equal(d, p) for p in pts)
 

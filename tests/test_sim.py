@@ -15,7 +15,15 @@ from wdrc import (
 )
 from wdrc.ambiguity import bures_squared
 
-from helpers import REF, ZERO_A, scalar_nominal, scalar_system, scalar_weights
+from helpers import (
+    REF,
+    ZERO_A,
+    penalized_average_cost_loop,
+    random_admissible,
+    scalar_nominal,
+    scalar_system,
+    scalar_weights,
+)
 
 
 def _zero(n):
@@ -97,12 +105,24 @@ class TestMonteCarloSummary:
         assert s1.mean_total_cost == s2.mean_total_cost
         assert s1.std_total_cost == s2.std_total_cost
 
-    def test_thread_count_does_not_change_results(self):
+    def test_summary_equals_mean_of_single_runs(self):
         b = _ref_bundle()
         truth = Gaussian([0.0], [[0.5]])
-        s1 = monte_carlo_summary(b, truth, 30, 16, 42, threads=1)
-        s4 = monte_carlo_summary(b, truth, 30, 16, 42, threads=4)
-        assert s1.mean_total_cost == s4.mean_total_cost
+        s = monte_carlo_summary(b, truth, 30, 16, 42)
+        children = np.random.SeedSequence(42).spawn(16)
+        traces = [run_closed_loop(b, truth, 30, child) for child in children]
+        totals = np.array([tr.total_cost for tr in traces])
+        averages = np.array([tr.average_cost for tr in traces])
+        assert abs(s.mean_total_cost - totals.mean()) <= 1e-12 * abs(totals.mean())
+        assert abs(s.std_total_cost - totals.std(ddof=1)) <= 1e-12 * totals.std(ddof=1)
+        assert abs(s.mean_avg_cost - averages.mean()) <= 1e-12 * abs(averages.mean())
+
+    def test_cost_overflow_rejected(self):
+        b = _ref_bundle()
+        # x0^2 = 1e400 overflows the stage cost to inf on every run
+        with np.errstate(all="ignore"), pytest.raises(ValueError):
+            monte_carlo_summary(b, _zero(1), 20, 4, 0,
+                                x0_model=Gaussian([1e200], [[0.0]]))
 
     def test_degenerate_runs_have_zero_std(self):
         b = _ref_bundle()
@@ -124,6 +144,16 @@ class TestPenalizedAverageCost:
         pen_cov = bures_squared(st.Sigma_star, REF["nominal"].sigma_hat)
         assert st.lam * pen_cov < 1e-3
         assert np.abs(st.H).max() < 1e-6
+
+    @pytest.mark.parametrize("instance", ["zero_a", "random_4"])
+    def test_matches_per_run_loop(self, instance):
+        if instance == "zero_a":
+            b = design_wdrc(ZERO_A["system"], ZERO_A["weights"], ZERO_A["nominal"], 2.0)
+        else:
+            *_, b = random_admissible(np.random.default_rng(7), 4)
+        value = penalized_average_cost(b, 50, 5, 11)
+        reference = penalized_average_cost_loop(b, 50, 5, 11)
+        assert abs(value - reference) <= 1e-12 * abs(reference)
 
     def test_rejects_lqg_bundles(self):
         b = design_lqg(REF["system"], REF["weights"], REF["nominal"])
