@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -230,18 +230,14 @@ def load_config(path, overrides=None):
 def _resolve_design(config):
     """(bundle, bound report) for the config's lambda- or theta-mode."""
     if config.theta is not None:
-        lam, report = design_mod.tune_lambda(
-            config.system, config.weights, config.nominal, config.theta,
-            grid=config.lambda_grid)
-    else:
-        lam = config.lam
-        report = None
+        _, bundle, report = design_mod._tune(config.system, config.weights,
+                                             config.nominal, config.theta,
+                                             config.lambda_grid)
+        bundle = replace(bundle, provenance=dict(bundle.provenance, seed=config.seed))
+        return bundle, report
     bundle = design_mod.design_wdrc(config.system, config.weights,
-                                    config.nominal, lam, theta=config.theta,
-                                    seed=config.seed)
-    if report is None:
-        report = design_mod.guaranteed_bound(0.0, lam, bundle.steady.rho)
-    return bundle, report
+                                    config.nominal, config.lam, seed=config.seed)
+    return bundle, design_mod.guaranteed_bound(0.0, config.lam, bundle.steady.rho)
 
 
 def emit_outputs(results, out_dir):
@@ -349,17 +345,10 @@ def run_experiment(config, mode="simulate"):
     elif mode == "tune":
         if config.theta is None:
             raise ConfigError("theta", "tune mode requires 'theta'")
-        grid = config.lambda_grid
-        if grid is None:
-            grid = design_mod.default_lambda_grid(config.system, config.weights)
-        rows = design_mod.evaluate_lambda_grid(config.system, config.weights,
-                                               config.nominal, config.theta, grid)
-        admissible = [r for r in rows if r["status"] == "ok"]
-        if not admissible:
-            raise NoAdmissibleLambda("no admissible penalty on the supplied grid")
-        best = min(admissible, key=lambda r: (r["bound"], r["lam"]))
-        report = design_mod.guaranteed_bound(config.theta, best["lam"], best["rho"])
-        doc = {"lambda_star": best["lam"],
+        rows, _, report = design_mod._tune(config.system, config.weights,
+                                           config.nominal, config.theta,
+                                           config.lambda_grid)
+        doc = {"lambda_star": report.lam,
                "report": serialize.bound_to_dict(report),
                "curve": [{k: r[k] for k in ("lam", "rho", "bound", "status")} for r in rows]}
         os.makedirs(config.out_dir, exist_ok=True)

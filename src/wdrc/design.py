@@ -229,14 +229,17 @@ def default_lambda_grid(system, weights, points=40, lam_hi=1e6):
 
 def evaluate_lambda_grid(system, weights, nominal, theta, grid):
     """Bound curve over a penalty grid; inadmissible points are recorded,
-    not fatal. Returns a list of dict rows (lam, rho, bound, status)."""
+    not fatal. Returns a list of dict rows (lam, rho, bound, status, bundle),
+    with ``bundle`` the design at that penalty, or None for a rejected row."""
     rows = []
     for lam in np.asarray(grid, dtype=float):
-        row = {"lam": float(lam), "rho": None, "bound": None, "status": "ok"}
+        row = {"lam": float(lam), "rho": None, "bound": None, "status": "ok",
+               "bundle": None}
         try:
             bundle = design_wdrc(system, weights, nominal, lam, theta=theta)
             row["rho"] = bundle.steady.rho
             row["bound"] = float(theta * theta * lam + bundle.steady.rho)
+            row["bundle"] = bundle
         except AssumptionViolated as exc:
             row["status"] = "assumption: %s" % exc
         except NoConvergence as exc:
@@ -245,32 +248,35 @@ def evaluate_lambda_grid(system, weights, nominal, theta, grid):
     return rows
 
 
+def _tune(system, weights, nominal, theta, grid=None):
+    """(rows, bundle, report): the grid curve in the order given, the design
+    at the bound-minimizing penalty, and its certified bound."""
+    if theta < 0:
+        raise ValueError("theta must be nonnegative")
+    if grid is None:
+        grid = default_lambda_grid(system, weights)
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("grid must be nonempty")
+    rows = evaluate_lambda_grid(system, weights, nominal, theta, grid)
+    ok = [r for r in rows if r["status"] == "ok"]
+    if not ok:
+        raise NoAdmissibleLambda(
+            "no admissible penalty on the grid [%g, %g] (%d points)"
+            % (grid.min(), grid.max(), grid.size)
+        )
+    best = min(ok, key=lambda r: (r["bound"], r["lam"]))
+    return rows, best["bundle"], guaranteed_bound(theta, best["lam"], best["rho"])
+
+
 def tune_lambda(system, weights, nominal, theta, grid=None):
     """Pick the admissible grid penalty minimizing theta^2 lam + rho(lam).
 
     Ties break toward the smaller penalty. Raises NoAdmissibleLambda when the
     whole grid fails the admissibility checks.
     """
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
-    if grid is None:
-        grid = default_lambda_grid(system, weights)
-    grid = np.sort(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
-    rows = evaluate_lambda_grid(system, weights, nominal, theta, grid)
-    best = None
-    for row in rows:
-        if row["status"] != "ok":
-            continue
-        if best is None or row["bound"] < best["bound"]:
-            best = row
-    if best is None:
-        raise NoAdmissibleLambda(
-            "no admissible penalty on the grid [%g, %g] (%d points)"
-            % (grid[0], grid[-1], grid.size)
-        )
-    return best["lam"], guaranteed_bound(theta, best["lam"], best["rho"])
+    _, _, report = _tune(system, weights, nominal, theta, grid)
+    return report.lam, report
 
 
 def _bisect_increasing(func, target, lo=1e-12, hi=1.0, tol=1e-12, max_iter=400):

@@ -176,7 +176,8 @@ class Gaussian(DisturbanceModel):
         cov = _check_symmetric(_as_matrix(self.cov, "cov", (mean.size, mean.size)), "cov")
         if not is_psd(cov):
             raise ValueError("cov must be positive semidefinite")
-        _lock(self, mean=mean, cov=cov)
+        # _root is not a field: eq, repr and replace see only mean and cov
+        _lock(self, mean=mean, cov=cov, _root=psd_sqrt(cov))
 
     def moments(self):
         return self.mean, self.cov
@@ -186,8 +187,7 @@ class Gaussian(DisturbanceModel):
         z = rng.standard_normal(n if size is None else (size, n))
         if not self.cov.any():
             return self.mean + 0.0 * z
-        root = psd_sqrt(self.cov)
-        return self.mean + z @ root.T
+        return self.mean + z @ self._root.T
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ inputs serialize to byte-identical documents.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -95,106 +96,54 @@ def write_csv(path, header, rows):
             fh.write(",".join(cell(v) for v in row) + "\n")
 
 
-def _matrix(a):
-    return np.asarray(a, dtype=float).tolist()
+# Field name -> class for the dataclasses nested in a PolicyBundle.
+_NESTED = {"system": LinearSystem, "weights": CostWeights, "nominal": NominalMoments,
+           "steady": SteadyStateSolution, "lqg": LqgSolution}
 
 
-def steady_to_dict(s):
-    return {
-        "lam": s.lam,
-        "theta": s.theta,
-        "P": _matrix(s.P),
-        "S": _matrix(s.S),
-        "r": _matrix(s.r),
-        "K": _matrix(s.K),
-        "L": _matrix(s.L),
-        "H": _matrix(s.H),
-        "G": _matrix(s.G),
-        "Phi": _matrix(s.Phi),
-        "Sigma_star": _matrix(s.Sigma_star),
-        "X_prior": _matrix(s.X_prior),
-        "X_post": _matrix(s.X_post),
-        "z": s.z,
-        "rho": s.rho,
-    }
+def _to_dict(obj):
+    """Dataclass -> dict keyed by field name; arrays become nested lists of
+    floats and nested dataclasses recurse."""
+    out = {}
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if dataclasses.is_dataclass(value):
+            value = _to_dict(value)
+        elif isinstance(value, np.ndarray):
+            value = np.asarray(value, dtype=float).tolist()
+        elif isinstance(value, dict):
+            value = dict(value)
+        out[field.name] = value
+    return out
+
+
+def _from_dict(cls, d):
+    """Inverse of ``_to_dict``: lists become float arrays, numbers floats, and
+    dicts the nested class named in ``_NESTED`` (plain dicts otherwise)."""
+    kwargs = {}
+    for field in dataclasses.fields(cls):
+        value = d[field.name]
+        if isinstance(value, list):
+            value = np.array(value, dtype=float)
+        elif isinstance(value, (int, float)):
+            value = float(value)
+        elif isinstance(value, dict):
+            nested = _NESTED.get(field.name)
+            value = dict(value) if nested is None else _from_dict(nested, value)
+        kwargs[field.name] = value
+    return cls(**kwargs)
+
+
+steady_to_dict = bound_to_dict = bundle_to_dict = _to_dict
 
 
 def steady_from_dict(d):
-    return SteadyStateSolution(
-        lam=float(d["lam"]),
-        theta=None if d["theta"] is None else float(d["theta"]),
-        P=np.array(d["P"], dtype=float),
-        S=np.array(d["S"], dtype=float),
-        r=np.array(d["r"], dtype=float),
-        K=np.array(d["K"], dtype=float),
-        L=np.array(d["L"], dtype=float),
-        H=np.array(d["H"], dtype=float),
-        G=np.array(d["G"], dtype=float),
-        Phi=np.array(d["Phi"], dtype=float),
-        Sigma_star=np.array(d["Sigma_star"], dtype=float),
-        X_prior=np.array(d["X_prior"], dtype=float),
-        X_post=np.array(d["X_post"], dtype=float),
-        z=float(d["z"]),
-        rho=float(d["rho"]),
-    )
-
-
-def bound_to_dict(b):
-    return {"lam": b.lam, "theta": b.theta, "rho": b.rho, "bound": b.bound}
+    return _from_dict(SteadyStateSolution, d)
 
 
 def bound_from_dict(d):
-    return BoundReport(lam=float(d["lam"]), theta=float(d["theta"]),
-                       rho=float(d["rho"]), bound=float(d["bound"]))
-
-
-def _lqg_to_dict(s):
-    return {
-        "P": _matrix(s.P), "K": _matrix(s.K), "L": _matrix(s.L),
-        "r": _matrix(s.r), "X_prior": _matrix(s.X_prior), "X_post": _matrix(s.X_post),
-    }
-
-
-def _lqg_from_dict(d):
-    return LqgSolution(
-        P=np.array(d["P"], dtype=float), K=np.array(d["K"], dtype=float),
-        L=np.array(d["L"], dtype=float), r=np.array(d["r"], dtype=float),
-        X_prior=np.array(d["X_prior"], dtype=float),
-        X_post=np.array(d["X_post"], dtype=float),
-    )
-
-
-def bundle_to_dict(bundle):
-    system = bundle.system
-    weights = bundle.weights
-    return {
-        "method": bundle.method,
-        "system": {
-            "A": _matrix(system.A), "B": _matrix(system.B), "C": _matrix(system.C),
-            "M": _matrix(system.M), "m0": _matrix(system.m0), "M0": _matrix(system.M0),
-        },
-        "weights": {"Q": _matrix(weights.Q), "Qf": _matrix(weights.Qf), "R": _matrix(weights.R)},
-        "nominal": {"w_hat": _matrix(bundle.nominal.w_hat),
-                    "sigma_hat": _matrix(bundle.nominal.sigma_hat)},
-        "steady": None if bundle.steady is None else steady_to_dict(bundle.steady),
-        "lqg": None if bundle.lqg is None else _lqg_to_dict(bundle.lqg),
-        "estimator_gain": _matrix(bundle.estimator_gain),
-        "provenance": dict(bundle.provenance),
-    }
+    return _from_dict(BoundReport, d)
 
 
 def bundle_from_dict(d):
-    sys_d = d["system"]
-    system = LinearSystem(A=sys_d["A"], B=sys_d["B"], C=sys_d["C"],
-                          M=sys_d["M"], m0=sys_d["m0"], M0=sys_d["M0"])
-    w_d = d["weights"]
-    weights = CostWeights(Q=w_d["Q"], Qf=w_d["Qf"], R=w_d["R"])
-    nominal = NominalMoments(w_hat=d["nominal"]["w_hat"],
-                             sigma_hat=d["nominal"]["sigma_hat"])
-    gain = np.array(d["estimator_gain"], dtype=float)
-    return PolicyBundle(
-        method=d["method"], system=system, weights=weights, nominal=nominal,
-        steady=None if d["steady"] is None else steady_from_dict(d["steady"]),
-        lqg=None if d["lqg"] is None else _lqg_from_dict(d["lqg"]),
-        estimator_gain=gain, provenance=dict(d["provenance"]),
-    )
+    return _from_dict(PolicyBundle, d)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._linalg import spectral_radius, sym
 from .ambiguity import bures_squared
-from .design import design_wdrc, tune_lambda
+from .design import _tune
 from .exceptions import AssumptionViolated, NoAdmissibleLambda, NoConvergence
 from .model import Gaussian, empirical_moments
 
@@ -254,9 +254,8 @@ def out_of_sample_curve(system, weights, truth, sample_sizes, thetas, runs,
                 samples = np.atleast_2d(truth.sample(rng, int(n_samples)))
                 nominal = empirical_moments(samples, jitter=jitter)
                 try:
-                    lam, report = tune_lambda(system, weights, nominal, theta,
-                                              grid=lambda_grid)
-                    bundle = design_wdrc(system, weights, nominal, lam, theta=theta)
+                    _, bundle, report = _tune(system, weights, nominal, theta,
+                                              lambda_grid)
                     summary = monte_carlo_summary(bundle, truth, horizon, runs,
                                                   eval_seed, x0_model=x0_model)
                 except (AssumptionViolated, NoConvergence, NoAdmissibleLambda):

@@ -6,6 +6,8 @@ import numpy as np
 import wdrc
 from wdrc.cli import main
 from wdrc.serialize import (
+    bound_from_dict,
+    bound_to_dict,
     bundle_from_dict,
     bundle_to_dict,
     dumps_json,
@@ -47,6 +49,20 @@ class TestDesignCommand:
         p = doc["bundle"]["steady"]["P"][0][0]
         assert abs(p - 5.0 / 3.0) < 1e-9
         assert doc["config_sha256"]
+
+    def test_theta_mode_reuses_tuned_design(self, tmp_path):
+        grid = [4.0, 8.0, 16.0]
+        cfg = write_config(tmp_path, {"out_dir": str(tmp_path / "out"), "theta": 0.1,
+                                      "lambda_grid": grid, "seed": 7},
+                           drop=("lambda",))
+        assert main(["design", "--config", cfg]) == 0
+        written = (tmp_path / "out" / "solution.json").read_text()
+        system, weights, nominal = REF["system"], REF["weights"], REF["nominal"]
+        lam, report = wdrc.tune_lambda(system, weights, nominal, 0.1, grid=grid)
+        bundle = wdrc.design_wdrc(system, weights, nominal, lam, theta=0.1, seed=7)
+        expected = {"bundle": bundle_to_dict(bundle), "bound": bound_to_dict(report),
+                    "config_sha256": json.loads(written)["config_sha256"], "seed": 7}
+        assert written == dumps_json(expected)
 
     def test_assumption_violation_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"lambda": 0.1, "out_dir": str(tmp_path / "o")})
@@ -123,6 +139,19 @@ class TestTuneAndSweeps:
         assert doc["lambda_star"] in (4.0, 8.0, 16.0)
         assert len(doc["curve"]) == 3
 
+    def test_tune_keeps_grid_order(self, tmp_path):
+        out = tmp_path / "t"
+        grid = [16.0, 4.0, 8.0]
+        cfg = write_config(tmp_path, {"out_dir": str(out), "theta": 0.1,
+                                      "lambda_grid": grid}, drop=("lambda",))
+        assert main(["tune", "--config", cfg]) == 0
+        doc = json.loads((out / "tune.json").read_text())
+        assert [row["lam"] for row in doc["curve"]] == grid
+        lam, report = wdrc.tune_lambda(REF["system"], REF["weights"], REF["nominal"],
+                                       0.1, grid=grid)
+        assert doc["lambda_star"] == lam
+        assert doc["report"] == json.loads(dumps_json(bound_to_dict(report)))
+
     def test_sweep_lambda(self, tmp_path):
         out = tmp_path / "sl"
         cfg = write_config(tmp_path, {"out_dir": str(out),
@@ -168,13 +197,24 @@ class TestSerializationPrimitives:
             assert float(format_float(v)) == v or (v == 0.0)
 
     def test_bundle_round_trip_bitwise(self):
-        bundle = wdrc.design_wdrc(REF["system"], REF["weights"], REF["nominal"],
-                                  REF["lam"])
+        system, weights, nominal = REF["system"], REF["weights"], REF["nominal"]
+        bundle = wdrc.design_wdrc(system, weights, nominal, REF["lam"])
         doc = dumps_json(bundle_to_dict(bundle))
         back = bundle_from_dict(json.loads(doc))
         assert dumps_json(bundle_to_dict(back)) == doc
         assert np.array_equal(back.steady.P, bundle.steady.P)
         assert back.steady.rho == bundle.steady.rho
+
+        lqg = wdrc.design_lqg(system, weights, nominal, seed=3)
+        doc = dumps_json(bundle_to_dict(lqg))
+        back = bundle_from_dict(json.loads(doc))
+        assert dumps_json(bundle_to_dict(back)) == doc
+        assert back.steady is None and back.provenance == lqg.provenance
+        assert np.array_equal(back.lqg.K, lqg.lqg.K)
+
+        report = wdrc.guaranteed_bound(0.1, REF["lam"], bundle.steady.rho)
+        doc = dumps_json(bound_to_dict(report))
+        assert bound_from_dict(json.loads(doc)) == report
 
     def test_empty_csv_has_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -145,6 +145,25 @@ class TestSampling:
         b = model.sample(np.random.default_rng(33), 10)
         assert np.array_equal(a, b)
 
+    def test_gaussian_root_computed_once(self, monkeypatch):
+        cov = np.array([[0.3, 0.1, 0.0], [0.1, 0.2, 0.05], [0.0, 0.05, 0.4]])
+        model = Gaussian(mean=[1.0, -2.0, 0.5], cov=cov)
+        root = wdrc.model.psd_sqrt(model.cov)
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return root
+
+        monkeypatch.setattr(wdrc.model, "psd_sqrt", counting)
+        draws = model.sample(np.random.default_rng(5), 7)
+        one = model.sample(np.random.default_rng(6))
+        assert calls == []
+        z = np.random.default_rng(5).standard_normal((7, 3))
+        assert np.array_equal(draws, model.mean + z @ root.T)
+        z = np.random.default_rng(6).standard_normal(3)
+        assert np.array_equal(one, model.mean + z @ root.T)
+
     def test_empirical_draws_from_support(self):
         pts = np.array([[0.0, 1.0], [2.0, 3.0]])
         model = Empirical(samples=pts)

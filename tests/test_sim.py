@@ -241,6 +241,23 @@ class TestOutOfSampleCurve:
         assert rows[0]["failures"] == 2
         assert rows[0]["mean_cost"] is None
 
+    def test_designs_once_per_grid_point(self, monkeypatch):
+        calls = []
+        design = wdrc.design.design_wdrc
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return design(*args, **kwargs)
+
+        for module in (wdrc.design, wdrc.sim):
+            monkeypatch.setattr(module, "design_wdrc", counting, raising=False)
+        grid = [4.0, 8.0, 16.0]
+        rows = out_of_sample_curve(REF["system"], REF["weights"], Gaussian([0.0], [[1.0]]),
+                                   [20], [0.05], runs=2, base_seed=3, dataset_draws=2,
+                                   horizon=20, lambda_grid=grid)
+        assert rows[0]["failures"] == 0
+        assert len(calls) == 2 * len(grid)
+
     def test_deterministic_rows(self):
         system, weights = REF["system"], REF["weights"]
         truth = Gaussian([0.0], [[1.0]])
