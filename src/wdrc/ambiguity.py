@@ -57,6 +57,10 @@ __all__ = [
     "solve_filter_are",
 ]
 
+_ASCENT_TOL, _ASCENT_MAX_ITER = 1e-7, 10_000  # normalized stationarity residual, sweeps
+_FILTER_TOL, _FILTER_MAX_ITER = 1e-12, 100_000  # Frobenius change, recursion steps
+_FILTER_RESIDUAL_TOL = 1e-8  # largest accepted stationary filter-equation residual
+
 
 @dataclass(frozen=True)
 class WorstCaseCovResult:
@@ -138,25 +142,25 @@ def _tr_sqrt_and_grad(sqrt_hat, sigma):
     return value, grad
 
 
-def _filter_fixpoint(A, C, M, sigma, start, tol, max_iter):
+def _filter_fixpoint(A, C, M, sigma, start):
     """Stationary one-step-ahead covariance for process noise sigma.
 
     Iterates measure-then-propagate from ``start`` until the Frobenius change
-    drops below tol. Convergence is geometric at the squared spectral radius
-    of the filter loop.
+    drops below _FILTER_TOL. Convergence is geometric at the squared spectral
+    radius of the filter loop.
     """
     x_prior = sym(np.asarray(start, dtype=float))
-    for _ in range(max_iter):
+    for _ in range(_FILTER_MAX_ITER):
         x_post = _measurement_update(x_prior, C, M)[0]
         x_next = sym(A @ x_post @ A.T + sigma)
         delta = np.linalg.norm(x_next - x_prior, "fro")
         x_prior = x_next
-        if delta < tol:
+        if delta < _FILTER_TOL:
             return x_prior
-    raise NoConvergence("filter covariance recursion hit %d iterations" % max_iter)
+    raise NoConvergence("filter covariance recursion hit %d iterations" % _FILTER_MAX_ITER)
 
 
-def _ascend(sigma_hat, P, lam, coupling, tol, max_iter):
+def _ascend(sigma_hat, P, lam, coupling):
     """Shared projected-ascent loop; ``coupling`` maps Sigma to
     (Tr[S X], Omega, X) for the variant being solved.
 
@@ -195,8 +199,8 @@ def _ascend(sigma_hat, P, lam, coupling, tol, max_iter):
     step = 1.0 / scale
     iterations = 0
     stalled = 0
-    for iterations in range(1, max_iter + 1):
-        if residual <= tol:
+    for iterations in range(1, _ASCENT_MAX_ITER + 1):
+        if residual <= _ASCENT_TOL:
             return WorstCaseCovResult(sigma, x_next, f, residual, iterations)
 
         new = None
@@ -236,7 +240,7 @@ def _ascend(sigma_hat, P, lam, coupling, tol, max_iter):
         if stalled >= 5:
             break  # progress below float resolution several sweeps in a row
 
-    if residual <= tol:
+    if residual <= _ASCENT_TOL:
         return WorstCaseCovResult(sigma, x_next, f, residual, iterations)
     raise NoConvergence(
         "worst-case covariance ascent stalled at normalized residual %.3e after %d iterations"
@@ -244,15 +248,14 @@ def _ascend(sigma_hat, P, lam, coupling, tol, max_iter):
     )
 
 
-def worst_case_cov_steady(system, S_ss, P_ss, sigma_hat, lam, tol=1e-7,
-                          max_iter=10_000, filter_tol=1e-12, filter_max_iter=100_000):
+def worst_case_cov_steady(system, S_ss, P_ss, sigma_hat, lam):
     """Stationary worst-case covariance coupled to its own steady filter.
 
     Raises AssumptionViolated when lam*I - P_ss is not PD (the program is
     unbounded there). On success the returned covariance pair satisfies the
     stationary filter constraints to the filter tolerance and the result's
     kkt_residual (projected-gradient norm over max(1, lam)) is at most
-    ``tol``. S_ss is nominally PSD but is accepted with the O(|P|^2/lam)
+    1e-7. S_ss is nominally PSD but is accepted with the O(|P|^2/lam)
     negative part that partially actuated plants produce; the ascent then
     certifies a stationary point rather than a global concave maximum.
     """
@@ -268,18 +271,17 @@ def worst_case_cov_steady(system, S_ss, P_ss, sigma_hat, lam, tol=1e-7,
     warm = {"x_prior": sym(np.asarray(sigma_hat, dtype=float)) + np.eye(n)}
 
     def coupling(sigma):
-        x_prior = _filter_fixpoint(A, C, M, sigma, warm["x_prior"], filter_tol, filter_max_iter)
+        x_prior = _filter_fixpoint(A, C, M, sigma, warm["x_prior"])
         warm["x_prior"] = x_prior
         x_post, _, ikc = _measurement_update(x_prior, C, M)
         loop = A @ ikc
         omega = dlyap(loop, sym(ikc.T @ S_ss @ ikc))
         return float(np.sum(S_ss * x_post)), omega, x_post
 
-    return _ascend(sigma_hat, P_ss, lam, coupling, tol, max_iter)
+    return _ascend(sigma_hat, P_ss, lam, coupling)
 
 
-def worst_case_cov_finite(system, S_next, P_next, sigma_hat, lam, x_cov,
-                          tol=1e-7, max_iter=10_000):
+def worst_case_cov_finite(system, S_next, P_next, sigma_hat, lam, x_cov):
     """Single-stage worst-case covariance given the current belief covariance.
 
     The one-step-ahead covariance is A x_cov A' + Sigma, so the filter part is
@@ -304,16 +306,16 @@ def worst_case_cov_finite(system, S_next, P_next, sigma_hat, lam, x_cov,
         omega = sym(ikc.T @ S_next @ ikc)
         return float(np.sum(S_next * x_post)), omega, x_post
 
-    return _ascend(sigma_hat, P_next, lam, coupling, tol, max_iter)
+    return _ascend(sigma_hat, P_next, lam, coupling)
 
 
-def solve_filter_are(system, sigma_star, tol=1e-12, max_iter=100_000, residual_tol=1e-8):
+def solve_filter_are(system, sigma_star):
     """Stationary (one-step-ahead, filtered) covariance pair for noise sigma_star.
 
     Checks the filter regularity conditions numerically ((A, C) detectable,
     (A, sigma_star^1/2) stabilizable), then iterates the covariance recursion
-    from zero until the Frobenius change is below tol. The fixed-point
-    residual of the stationary equation must come out below ``residual_tol``.
+    from zero until the Frobenius change is below 1e-12 (at most 1e5 steps).
+    The stationary-equation residual must come out at most 1e-8.
     """
     A, C, M = system.A, system.C, system.M
     sigma_star = sym(np.asarray(sigma_star, dtype=float))
@@ -322,9 +324,10 @@ def solve_filter_are(system, sigma_star, tol=1e-12, max_iter=100_000, residual_t
     if not is_stabilizable(A, psd_sqrt(psd_project(sigma_star))):
         raise AssumptionViolated("4 (filter regularity)", "(A, Sigma^1/2) is not stabilizable")
 
-    x_prior = _filter_fixpoint(A, C, M, sigma_star, np.zeros_like(sigma_star), tol, max_iter)
+    x_prior = _filter_fixpoint(A, C, M, sigma_star, np.zeros_like(sigma_star))
     x_post = _measurement_update(x_prior, C, M)[0]
     residual = np.linalg.norm(x_prior - sym(A @ x_post @ A.T + sigma_star), "fro")
-    if residual > residual_tol:
-        raise NoConvergence("filter stationary-equation residual %.3e above %.1e" % (residual, residual_tol))
+    if residual > _FILTER_RESIDUAL_TOL:
+        raise NoConvergence("filter stationary-equation residual %.3e above %.1e"
+                            % (residual, _FILTER_RESIDUAL_TOL))
     return x_prior, x_post

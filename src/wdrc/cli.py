@@ -165,6 +165,9 @@ def load_config(path, overrides=None):
         weights = default_weights
     else:
         raise ConfigError("weights", "missing required key")
+    if weights.Q.shape[0] != system.n_x or weights.R.shape[0] != system.n_u:
+        raise ConfigError("weights", "Q and R must match the %d states and %d inputs"
+                          % (system.n_x, system.n_u))
 
     try:
         truth = distribution_from_json(_require(raw, "truth", ""), "truth")
@@ -176,6 +179,9 @@ def load_config(path, overrides=None):
             x0 = distribution_from_json(raw["x0"], "x0")
         except ValueError as exc:
             raise ConfigError("x0", str(exc))
+    for field, model in (("truth", truth), ("x0", x0)):
+        if model is not None and model.moments()[0].size != system.n_x:
+            raise ConfigError(field, "dimension must equal the %d plant states" % system.n_x)
 
     has_lam = raw.get("lambda") is not None
     has_theta = raw.get("theta") is not None
@@ -191,14 +197,20 @@ def load_config(path, overrides=None):
     seed = int(raw.get("seed", 0))
     jitter = float(raw.get("jitter", 1e-8))
     nominal = _build_nominal(_require(raw, "nominal", ""), truth, seed, jitter)
+    if nominal.w_hat.size != system.n_x:
+        raise ConfigError("nominal", "dimension must equal the %d plant states" % system.n_x)
 
     grid = None
     if raw.get("lambda_grid") is not None:
         g = raw["lambda_grid"]
         if isinstance(g, dict):
-            grid = design_mod.default_lambda_grid(
-                system, weights, points=int(g.get("points", 40)),
-                lam_hi=float(g.get("hi", 1e6)))
+            points, lam_hi = int(g.get("points", 40)), float(g.get("hi", 1e6))
+            if points < 1:
+                raise ConfigError("lambda_grid.points", "must be >= 1")
+            if not lam_hi > 0:
+                raise ConfigError("lambda_grid.hi", "must be positive")
+            grid = design_mod.default_lambda_grid(system, weights, points=points,
+                                                  lam_hi=lam_hi)
         else:
             grid = np.asarray(g, dtype=float)
             if grid.ndim != 1 or grid.size == 0:

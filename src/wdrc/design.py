@@ -18,8 +18,8 @@ import numpy as np
 import scipy.linalg
 
 from ._linalg import is_detectable, is_stabilizable, max_eigval, psd_sqrt, sym
-from .ambiguity import _filter_fixpoint, bures_squared, solve_filter_are, worst_case_cov_steady
-from .estimator import _measurement_update, steady_gain
+from .ambiguity import bures_squared, solve_filter_are, worst_case_cov_steady
+from .estimator import steady_gain
 from .exceptions import AssumptionViolated, NoAdmissibleLambda, NoConvergence
 from .riccati import (
     SteadyStateSolution,
@@ -127,8 +127,7 @@ def evaluate_rho(steady, nominal):
     return float(value + steady.z)
 
 
-def design_wdrc(system, weights, nominal, lam, theta=None, seed=None,
-                wc_tol=1e-7, wc_max_iter=10_000):
+def design_wdrc(system, weights, nominal, lam, theta=None, seed=None):
     """Offline synthesis of the robust policy pair at penalty ``lam``.
 
     Pipeline: steady-state Riccati solve, policy parameters, worst-case
@@ -138,8 +137,7 @@ def design_wdrc(system, weights, nominal, lam, theta=None, seed=None,
     phi = compute_phi(system, weights, lam).matrix
     P = solve_are(system, weights, lam)
     params = steady_state_policy_params(system, weights, nominal, lam, P)
-    wc = worst_case_cov_steady(system, params.S, P, nominal.sigma_hat, lam,
-                               tol=wc_tol, max_iter=wc_max_iter)
+    wc = worst_case_cov_steady(system, params.S, P, nominal.sigma_hat, lam)
     X_prior, X_post = solve_filter_are(system, wc.sigma_star)
     if np.abs(X_post - wc.x_cov).max() > 1e-6 * (1.0 + np.abs(X_post).max()):
         raise NoConvergence("filter covariance mismatch between the covariance "
@@ -160,22 +158,14 @@ def design_wdrc(system, weights, nominal, lam, theta=None, seed=None,
                         estimator_gain=gain, provenance=provenance)
 
 
-def _dare_fixed_point(A, B, Q, R, tol=1e-13, max_iter=200_000):
-    P = sym(Q.copy())
-    for _ in range(max_iter):
-        BtP = B.T @ P
-        gain = np.linalg.solve(R + BtP @ B, BtP @ A)
-        P_next = sym(Q + A.T @ P @ A - A.T @ P @ B @ gain)
-        delta = np.linalg.norm(P_next - P, "fro")
-        P = P_next
-        if delta < tol:
-            return P
-    raise NoConvergence("certainty-equivalent Riccati iteration hit %d iterations" % max_iter)
-
-
 def design_lqg(system, weights, nominal, seed=None):
     """Certainty-equivalent baseline: standard Riccati gain plus a Kalman
-    filter built directly from the nominal moments."""
+    filter built directly from the nominal moments.
+
+    The filter pair comes from solve_filter_are with the nominal covariance,
+    so it gets the same filter-regularity (assumption 4) and residual checks
+    as the robust design. A failed Riccati solve raises NoConvergence.
+    """
     A, B = system.A, system.B
     Q, R = weights.Q, weights.R
     if not is_stabilizable(A, B):
@@ -184,8 +174,8 @@ def design_lqg(system, weights, nominal, seed=None):
         raise NoConvergence("(A, Q^1/2) is not detectable; baseline Riccati solution may not exist")
     try:
         P = sym(scipy.linalg.solve_discrete_are(A, B, Q, R))
-    except Exception:
-        P = _dare_fixed_point(A, B, Q, R)  # handles degenerate B (e.g. B = 0)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence("certainty-equivalent Riccati solve failed: %s" % exc)
 
     BtP = B.T @ P
     gain_den = R + BtP @ B
@@ -195,9 +185,7 @@ def design_lqg(system, weights, nominal, seed=None):
     r = np.linalg.solve(np.eye(system.n_x) - A_cl.T, A_cl.T @ (P @ w_hat))
     L = -np.linalg.solve(gain_den, B.T @ (P @ w_hat + r))
 
-    X_prior = _filter_fixpoint(A, system.C, system.M, nominal.sigma_hat,
-                               np.zeros_like(P), 1e-12, 100_000)
-    X_post = _measurement_update(X_prior, system.C, system.M)[0]
+    X_prior, X_post = solve_filter_are(system, nominal.sigma_hat)
     lqg = LqgSolution(P=P, K=K, L=L, r=r, X_prior=X_prior, X_post=X_post)
     gain = steady_gain(X_post, system, x_cov_prior=X_prior)
     provenance = {"input_sha256": _input_digest(system, weights, nominal, 0.0),

@@ -19,6 +19,9 @@ from .exceptions import WdrcError
 
 __all__ = ["BeliefState", "filter_step", "covariance_recursion", "steady_gain"]
 
+# Largest entrywise gap allowed between the two forms of the steady gain.
+_GAIN_CHECK_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class BeliefState:
@@ -80,19 +83,19 @@ def filter_step(belief, u, w_bar, y_next, system, x_cov_ss=None, sigma=None, gai
     return BeliefState(x_new, x_post)
 
 
-def steady_gain(x_cov_ss, system, x_cov_prior=None, check_tol=1e-9):
+def steady_gain(x_cov_ss, system, x_cov_prior=None):
     """Steady estimator gain X_ss C' M^-1.
 
     When the matching one-step-ahead covariance is supplied, the equivalent
     innovation form X_prior C'(C X_prior C' + M)^-1 is checked against it to
-    ``check_tol``; a mismatch means the two covariances are inconsistent.
+    1e-9 in every entry; a mismatch means the two covariances are inconsistent.
     """
     C, M = system.C, system.M
     gain = np.linalg.solve(M, C @ sym(np.asarray(x_cov_ss, dtype=float))).T
     if x_cov_prior is not None:
         innov = sym(C @ x_cov_prior @ C.T + M)
         alt = np.linalg.solve(innov, C @ x_cov_prior).T
-        if np.abs(gain - alt).max() > check_tol:
+        if np.abs(gain - alt).max() > _GAIN_CHECK_TOL:
             raise ValueError(
                 "steady gain identity violated (max deviation %.3e); "
                 "posterior and prior covariances are inconsistent"

@@ -28,6 +28,8 @@ from ._linalg import (
     spectral_radius,
     sym,
 )
+from .ambiguity import worst_case_cov_finite
+from .estimator import _measurement_update
 from .exceptions import AssumptionViolated, NoConvergence
 
 __all__ = [
@@ -43,6 +45,9 @@ __all__ = [
     "steady_state_policy_params",
     "check_lambda",
 ]
+
+# steady-state solve: Frobenius change that stops it, sweep cap, accepted residual
+_ARE_TOL, _ARE_MAX_ITER, _ARE_RESIDUAL_TOL = 1e-12, 100_000, 1e-9
 
 
 @dataclass(frozen=True)
@@ -188,19 +193,11 @@ def backward_pass(system, weights, nominal, lam, horizon):
     return P, S, r, q, K, L, H, G
 
 
-def finite_horizon_recursion(system, weights, nominal, lam, horizon, wc_cov_solver=None):
+def finite_horizon_recursion(system, weights, nominal, lam, horizon):
     """Full finite-horizon solution: backward pass plus the forward pass that
-    interleaves the worst-case covariance program with the belief-covariance
-    recursion (both are offline quantities).
-
-    ``wc_cov_solver`` defaults to ambiguity.worst_case_cov_finite and must
-    accept (system, S_next, P_next, sigma_hat, lam, x_cov).
+    interleaves the worst-case covariance program (worst_case_cov_finite)
+    with the belief-covariance recursion (both are offline quantities).
     """
-    if wc_cov_solver is None:
-        from .ambiguity import worst_case_cov_finite
-        wc_cov_solver = worst_case_cov_finite
-    from .estimator import _measurement_update
-
     P, S, r, q, K, L, H, G = backward_pass(system, weights, nominal, lam, horizon)
     T = int(horizon)
     n = system.n_x
@@ -210,7 +207,7 @@ def finite_horizon_recursion(system, weights, nominal, lam, horizon, wc_cov_solv
     z = np.zeros(T)
     X_post[0] = _measurement_update(system.M0, system.C, system.M)[0]
     for t in range(T):
-        res = wc_cov_solver(system, S[t + 1], P[t + 1], nominal.sigma_hat, lam, X_post[t])
+        res = worst_case_cov_finite(system, S[t + 1], P[t + 1], nominal.sigma_hat, lam, X_post[t])
         Sigma_star[t] = res.sigma_star
         X_post[t + 1] = res.x_cov
         z[t] = res.objective
@@ -221,18 +218,17 @@ def finite_horizon_recursion(system, weights, nominal, lam, horizon, wc_cov_solv
     )
 
 
-def solve_are(system, weights, lam, p0=None, tol=1e-12, max_iter=100_000,
-              residual_tol=1e-9, require_psd_phi=False):
+def solve_are(system, weights, lam):
     """Steady-state P solving P = Q + A'(I + P Phi)^-1 P A.
 
-    Solved by fixed-point iteration from a PSD seed (default Q), which
-    converges whenever the regularity conditions hold. Checks performed:
-    (A, Q^1/2) observable and (A, proj_psd(Phi)^1/2) stabilizable up front
-    (PBH rank tests); after convergence, residual below ``residual_tol``,
-    lam*I - P positive definite, and the penalized closed-loop map
-    A'(I + P Phi)^-1 strictly stable. With ``require_psd_phi`` the flag from
-    compute_phi is enforced as a hard error; by default it is not, since any
-    system with fewer inputs than states has Phi indefinite by exactly 1/lam.
+    Solved by fixed-point iteration from Q, which converges whenever the
+    regularity conditions hold, to a Frobenius change below 1e-12 within
+    1e5 sweeps (NoConvergence otherwise). Checks performed: (A, Q^1/2)
+    observable and (A, proj_psd(Phi)^1/2) stabilizable up front (PBH rank
+    tests); after convergence, residual below 1e-9, lam*I - P positive
+    definite, and the penalized closed-loop map A'(I + P Phi)^-1 strictly
+    stable. Phi >= 0 is not required: any system with fewer inputs than
+    states has Phi indefinite by exactly 1/lam.
     """
     A = system.A
     n = system.n_x
@@ -242,30 +238,26 @@ def solve_are(system, weights, lam, p0=None, tol=1e-12, max_iter=100_000,
             "1 (penalty dominance)",
             "lam=%.6g does not exceed max eig Q=%.6g, and P_ss >= Q" % (lam, max_eigval(Q)),
         )
-    phi, phi_psd = compute_phi(system, weights, lam)
-    if require_psd_phi and not phi_psd:
-        raise AssumptionViolated("3 (control regularity)", "Phi has negative eigenvalues")
+    phi = compute_phi(system, weights, lam).matrix
     if not is_stabilizable(A, psd_sqrt(psd_project(phi))):
         raise AssumptionViolated("3 (control regularity)", "(A, Phi^1/2) is not stabilizable")
     if not is_observable(A, psd_sqrt(Q)):
         raise AssumptionViolated("3 (control regularity)", "(A, Q^1/2) is not observable")
 
     eye = np.eye(n)
-    P = sym(np.array(Q if p0 is None else p0, dtype=float))
-    if not is_psd(P):
-        raise ValueError("p0 must be positive semidefinite")
-    for _ in range(max_iter):
+    P = sym(Q)
+    for _ in range(_ARE_MAX_ITER):
         P_next = sym(Q + A.T @ np.linalg.solve(eye + P @ phi, P @ A))
         delta = np.linalg.norm(P_next - P, "fro")
         P = P_next
-        if delta < tol:
+        if delta < _ARE_TOL:
             break
     else:
-        raise NoConvergence("value iteration for the steady-state equation hit %d iterations" % max_iter)
+        raise NoConvergence("value iteration for the steady-state equation hit %d iterations" % _ARE_MAX_ITER)
 
     residual = np.linalg.norm(P - Q - A.T @ np.linalg.solve(eye + P @ phi, P @ A), "fro")
-    if residual >= residual_tol:
-        raise NoConvergence("steady-state equation residual %.3e above %.1e" % (residual, residual_tol))
+    if residual >= _ARE_RESIDUAL_TOL:
+        raise NoConvergence("steady-state equation residual %.3e above %.1e" % (residual, _ARE_RESIDUAL_TOL))
     if min_eigval(lam * eye - P) <= 0.0:
         raise AssumptionViolated(
             "1 (penalty dominance)",

@@ -90,6 +90,24 @@ def random_admissible(rng, n_x, **kwargs):
     raise RuntimeError("could not draw an admissible random system")
 
 
+def dare_fixed_point(A, B, Q, R, tol=1e-13, max_iter=200_000):
+    """Certainty-equivalent Riccati solution by value iteration from Q.
+
+    Independent of the Schur-pencil solver behind ``design_lqg``, and valid
+    for degenerate input maps such as B = 0 on a stable plant.
+    """
+    P = sym(np.array(Q, dtype=float))
+    for _ in range(max_iter):
+        BtP = B.T @ P
+        gain = np.linalg.solve(R + BtP @ B, BtP @ A)
+        P_next = sym(Q + A.T @ P @ A - A.T @ P @ B @ gain)
+        delta = np.linalg.norm(P_next - P, "fro")
+        P = P_next
+        if delta < tol:
+            return P
+    raise RuntimeError("Riccati value iteration hit %d iterations" % max_iter)
+
+
 def newton_sqrt(a, iters=100, tol=1e-14):
     """Denman-Beavers iteration for the PSD matrix square root.
 

@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 import wdrc
 from wdrc.cli import main
@@ -76,6 +77,20 @@ class TestDesignCommand:
         assert "lambda/theta" in capsys.readouterr().err
         cfg = write_config(tmp_path, drop=("truth",))
         assert main(["design", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("field, updates", [
+        ("truth", {"truth": {"type": "gaussian", "mean": [0.0, 0.0], "cov": np.eye(2).tolist()}}),
+        ("x0", {"x0": {"type": "gaussian", "mean": [0.0, 0.0], "cov": np.eye(2).tolist()}}),
+        ("nominal", {"nominal": {"mean": [0.0, 0.0], "cov": np.eye(2).tolist()}}),
+        ("weights", {"weights": {"Q": np.eye(2).tolist(), "Qf": np.eye(2).tolist(),
+                                 "R": [[1.0]]}}),
+        ("lambda_grid.points", {"lambda_grid": {"points": 0}}),
+        ("lambda_grid.hi", {"lambda_grid": {"hi": -5}}),
+    ])
+    def test_malformed_field_exit_code(self, tmp_path, capsys, field, updates):
+        cfg = write_config(tmp_path, dict(updates, out_dir=str(tmp_path / "o")))
+        assert main(["simulate", "--config", cfg]) == 1
+        assert "config field '%s'" % field in capsys.readouterr().err
 
     def test_invalid_json_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

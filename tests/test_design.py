@@ -1,5 +1,8 @@
+import time
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import wdrc
 from wdrc import (
@@ -20,6 +23,7 @@ from helpers import (
     REF,
     ZERO_A,
     admissible_lambda,
+    dare_fixed_point,
     random_system,
     scalar_nominal,
     scalar_system,
@@ -85,6 +89,31 @@ class TestDesignLqg:
         system = scalar_system(a=2.0, b=0.0)
         with pytest.raises(wdrc.NoConvergence):
             design_lqg(system, scalar_weights(), scalar_nominal())
+
+    def test_undetectable_filter_fails_fast(self):
+        system = scalar_system(a=2.0, b=1.0, c=0.0)
+        start = time.perf_counter()
+        with pytest.raises(AssumptionViolated, match="assumption 4"):
+            design_lqg(system, scalar_weights(), scalar_nominal())
+        assert time.perf_counter() - start < 1.0
+
+    def test_matches_fixed_point_oracle(self):
+        rng = np.random.default_rng(7)
+        cases = [(REF["system"], REF["weights"], REF["nominal"]),
+                 (scalar_system(a=0.5, b=0.0), scalar_weights(), scalar_nominal())]
+        cases += [random_system(rng, 3) for _ in range(3)]
+        for system, weights, nominal in cases:
+            P = design_lqg(system, weights, nominal).lqg.P
+            oracle = dare_fixed_point(system.A, system.B, weights.Q, weights.R)
+            assert np.abs(P - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+    def test_riccati_failure_is_no_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Failed to find a finite solution.")
+
+        monkeypatch.setattr(scipy.linalg, "solve_discrete_are", fail)
+        with pytest.raises(wdrc.NoConvergence, match="Riccati"):
+            design_lqg(REF["system"], REF["weights"], REF["nominal"])
 
 
 class TestRhoAndBound:
