@@ -39,6 +39,7 @@ from ._linalg import (
     dlyap,
     is_detectable,
     is_stabilizable,
+    max_eigval,
     min_eigval,
     psd_project,
     psd_sqrt,
@@ -140,6 +141,16 @@ def _tr_sqrt_and_grad(sqrt_hat, sigma):
     inv_half = np.where(roots > cutoff, 0.5 / np.maximum(roots, 1e-300), 0.0)
     grad = sym(sqrt_hat @ ((v * inv_half) @ v.T) @ sqrt_hat)
     return value, grad
+
+
+def _require_dominance(lam, P, where):
+    """Raise assumption 1 unless lam*I - P is positive definite; ``where`` names
+    the stage. Cholesky, not eigenvalues: the Riccati solve runs it every sweep."""
+    try:
+        np.linalg.cholesky(lam * np.eye(P.shape[0]) - P)
+    except np.linalg.LinAlgError:
+        msg = "lam*I - P is not positive definite %s (lam=%.6g, max eig P=%.6g); increase lam"
+        raise AssumptionViolated("1 (penalty dominance)", msg % (where, lam, max_eigval(P))) from None
 
 
 def _filter_fixpoint(A, C, M, sigma, start):
@@ -252,7 +263,8 @@ def worst_case_cov_steady(system, S_ss, P_ss, sigma_hat, lam):
     """Stationary worst-case covariance coupled to its own steady filter.
 
     Raises AssumptionViolated when lam*I - P_ss is not PD (the program is
-    unbounded there). On success the returned covariance pair satisfies the
+    unbounded there) or when (A, C) is not detectable, before any filter
+    recursion. On success the returned covariance pair satisfies the
     stationary filter constraints to the filter tolerance and the result's
     kkt_residual (projected-gradient norm over max(1, lam)) is at most
     1e-7. S_ss is nominally PSD but is accepted with the O(|P|^2/lam)
@@ -261,12 +273,10 @@ def worst_case_cov_steady(system, S_ss, P_ss, sigma_hat, lam):
     """
     A, C, M = system.A, system.C, system.M
     n = system.n_x
-    if min_eigval(lam * np.eye(n) - P_ss) <= 0.0:
-        raise AssumptionViolated(
-            "1 (penalty dominance)",
-            "lam*I - P_ss not positive definite; covariance program unbounded",
-        )
+    _require_dominance(lam, P_ss, "for the covariance program")
     _check_psd_input(sigma_hat, "sigma_hat")
+    if not is_detectable(A, C):  # the filter recursions below could never converge
+        raise AssumptionViolated("4 (filter regularity)", "(A, C) is not detectable")
     S_ss = sym(S_ss)
     warm = {"x_prior": sym(np.asarray(sigma_hat, dtype=float)) + np.eye(n)}
 
@@ -290,12 +300,7 @@ def worst_case_cov_finite(system, S_next, P_next, sigma_hat, lam, x_cov):
     maximizer, and the objective equals that stage's adversary value.
     """
     A, C, M = system.A, system.C, system.M
-    n = system.n_x
-    if min_eigval(lam * np.eye(n) - P_next) <= 0.0:
-        raise AssumptionViolated(
-            "1 (penalty dominance)",
-            "lam*I - P not positive definite; covariance program unbounded",
-        )
+    _require_dominance(lam, P_next, "for the covariance program")
     _check_psd_input(sigma_hat, "sigma_hat")
     S_next = sym(S_next)
     propagated = sym(A @ sym(np.asarray(x_cov, dtype=float)) @ A.T)

@@ -73,12 +73,33 @@ def _require(obj, key, path):
     return obj[key]
 
 
+def _scalar(value, kind, field, above=None):
+    """``value`` as a finite ``kind`` (int or float), greater than ``above``
+    when given; ConfigError naming ``field`` for a non-numeric, non-finite,
+    non-integral or too small value. ``kind`` [int] or [float] reads a list."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(field, "expected a list, got %r" % (value,))
+        return [_scalar(v, kind[0], field, above) for v in value]
+    try:
+        num = kind(value)
+        ok = bool(np.isfinite(num)) and not (isinstance(value, float) and num != value)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(field, "expected %s, got %r" % ("an integer" if kind is int else "a number", value))
+    if above is not None and not num > above:
+        raise ConfigError(field, "must be > %g" % above)
+    return num
+
+
 def _build_system(raw, path="system"):
     if "power_grid" in raw:
         g = raw["power_grid"]
-        n_gen = int(_require(g, "n_gen", path + ".power_grid"))
-        observed = int(g.get("observed_gens", n_gen))
-        dt = float(g.get("dt", 0.1))
+        path += ".power_grid"
+        n_gen = _scalar(_require(g, "n_gen", path), int, path + ".n_gen")
+        observed = _scalar(g.get("observed_gens", n_gen), int, path + ".observed_gens")
+        dt = _scalar(g.get("dt", 0.1), float, path + ".dt")
         lap = g.get("laplacian")
         try:
             system, weights = build_power_system(
@@ -94,7 +115,7 @@ def _build_system(raw, path="system"):
             A_d, B_d = zoh_discretize(system.A, system.B, dt)
             system = system.replace(A=A_d, B=B_d)
         except ValueError as exc:
-            raise ConfigError(path + ".power_grid", str(exc))
+            raise ConfigError(path, str(exc))
         return system, weights
     try:
         return system_from_json(raw), None
@@ -105,6 +126,7 @@ def _build_system(raw, path="system"):
 
 
 def _build_nominal(raw, truth, seed, jitter, path="nominal"):
+    jitter = _scalar(raw.get("jitter", jitter), float, path + ".jitter")
     if "mean" in raw or "cov" in raw:
         try:
             return NominalMoments(w_hat=_require(raw, "mean", path),
@@ -113,17 +135,15 @@ def _build_nominal(raw, truth, seed, jitter, path="nominal"):
             raise ConfigError(path, str(exc))
     if "samples" in raw:
         try:
-            return empirical_moments(raw["samples"], jitter=raw.get("jitter", jitter))
+            return empirical_moments(raw["samples"], jitter=jitter)
         except ValueError as exc:
             raise ConfigError(path + ".samples", str(exc))
     if "sample_count" in raw:
-        count = int(raw["sample_count"])
-        if count < 1:
-            raise ConfigError(path + ".sample_count", "must be >= 1")
+        count = _scalar(raw["sample_count"], int, path + ".sample_count", 0)
         # dedicated substream so the nominal does not perturb simulation draws
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
         samples = np.atleast_2d(truth.sample(rng, count))
-        return empirical_moments(samples, jitter=raw.get("jitter", jitter))
+        return empirical_moments(samples, jitter=jitter)
     raise ConfigError(path, "expected one of: (mean, cov) | samples | sample_count")
 
 
@@ -187,15 +207,13 @@ def load_config(path, overrides=None):
     has_theta = raw.get("theta") is not None
     if has_lam == has_theta:
         raise ConfigError("lambda/theta", "exactly one of 'lambda' or 'theta' must be set")
-    lam = float(raw["lambda"]) if has_lam else None
-    theta = float(raw["theta"]) if has_theta else None
-    if lam is not None and lam <= 0:
-        raise ConfigError("lambda", "must be positive")
+    lam = _scalar(raw["lambda"], float, "lambda", 0) if has_lam else None
+    theta = _scalar(raw["theta"], float, "theta") if has_theta else None
     if theta is not None and theta < 0:
         raise ConfigError("theta", "must be nonnegative")
 
-    seed = int(raw.get("seed", 0))
-    jitter = float(raw.get("jitter", 1e-8))
+    seed = _scalar(raw.get("seed", 0), int, "seed", -1)
+    jitter = _scalar(raw.get("jitter", 1e-8), float, "jitter")
     nominal = _build_nominal(_require(raw, "nominal", ""), truth, seed, jitter)
     if nominal.w_hat.size != system.n_x:
         raise ConfigError("nominal", "dimension must equal the %d plant states" % system.n_x)
@@ -204,24 +222,17 @@ def load_config(path, overrides=None):
     if raw.get("lambda_grid") is not None:
         g = raw["lambda_grid"]
         if isinstance(g, dict):
-            points, lam_hi = int(g.get("points", 40)), float(g.get("hi", 1e6))
-            if points < 1:
-                raise ConfigError("lambda_grid.points", "must be >= 1")
-            if not lam_hi > 0:
-                raise ConfigError("lambda_grid.hi", "must be positive")
+            points = _scalar(g.get("points", 40), int, "lambda_grid.points", 0)
+            lam_hi = _scalar(g.get("hi", 1e6), float, "lambda_grid.hi", 0)
             grid = design_mod.default_lambda_grid(system, weights, points=points,
                                                   lam_hi=lam_hi)
         else:
-            grid = np.asarray(g, dtype=float)
-            if grid.ndim != 1 or grid.size == 0:
+            grid = np.array(_scalar(g, [float], "lambda_grid", 0))
+            if grid.size == 0:
                 raise ConfigError("lambda_grid", "must be a nonempty list of penalties")
 
-    horizon = int(raw.get("horizon", 100))
-    runs = int(raw.get("runs", 100))
-    if horizon < 1:
-        raise ConfigError("horizon", "must be >= 1")
-    if runs < 1:
-        raise ConfigError("runs", "must be >= 1")
+    horizon = _scalar(raw.get("horizon", 100), int, "horizon", 0)
+    runs = _scalar(raw.get("runs", 100), int, "runs", 0)
     method = str(raw.get("method", "WDRC")).upper()
     if method not in ("WDRC", "LQG"):
         raise ConfigError("method", "must be WDRC or LQG")
@@ -232,9 +243,11 @@ def load_config(path, overrides=None):
     return ExperimentConfig(
         system=system, weights=weights, truth=truth, x0=x0, nominal=nominal,
         lam=lam, theta=theta, lambda_grid=grid,
-        thetas=raw.get("thetas"), sample_sizes=raw.get("sample_sizes"),
-        dataset_draws=int(raw.get("dataset_draws", 20)),
-        horizon=horizon, runs=runs, seed=seed, traces=int(raw.get("traces", 0)),
+        thetas=_scalar(raw.get("thetas") or [], [float], "thetas") or None,
+        sample_sizes=_scalar(raw.get("sample_sizes") or [], [int], "sample_sizes", 0) or None,
+        dataset_draws=_scalar(raw.get("dataset_draws", 20), int, "dataset_draws", 0),
+        horizon=horizon, runs=runs, seed=seed,
+        traces=_scalar(raw.get("traces", 0), int, "traces", -1),
         method=method, out_dir=str(raw.get("out_dir", "out")), digest=digest, raw=raw,
     )
 

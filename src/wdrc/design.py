@@ -23,6 +23,7 @@ from .estimator import steady_gain
 from .exceptions import AssumptionViolated, NoAdmissibleLambda, NoConvergence
 from .riccati import (
     SteadyStateSolution,
+    _offset,
     compute_phi,
     solve_are,
     steady_state_policy_params,
@@ -116,14 +117,8 @@ def evaluate_rho(steady, nominal):
     rho = (2 w_hat - Phi r)'(I + P Phi)^-1 r - lam Tr[Sigma_hat]
           + w_hat'(I + P Phi)^-1 P w_hat + z.
     """
-    P, phi, r = steady.P, steady.Phi, steady.r
-    w_hat, sigma_hat = nominal.w_hat, nominal.sigma_hat
-    T1 = np.eye(P.shape[0]) + P @ phi
-    inv1_r = np.linalg.solve(T1, r)
-    inv1_Pw = np.linalg.solve(T1, P @ w_hat)
-    value = (2.0 * w_hat - phi @ r) @ inv1_r
-    value += w_hat @ inv1_Pw
-    value -= steady.lam * float(np.trace(sigma_hat))
+    value = _offset(steady.P, steady.Phi, steady.lam, nominal.w_hat,
+                    float(np.trace(nominal.sigma_hat)), steady.r)[0]
     return float(value + steady.z)
 
 
@@ -197,7 +192,7 @@ def design_lqg(system, weights, nominal, seed=None):
 
 def guaranteed_bound(theta, lam, rho):
     """Average-cost guarantee theta^2 * lam + rho over the radius-theta ball."""
-    if theta < 0:
+    if not theta >= 0:
         raise ValueError("theta must be nonnegative")
     return BoundReport(lam=float(lam), theta=float(theta), rho=float(rho),
                        bound=float(theta * theta * lam + rho))
@@ -239,7 +234,7 @@ def evaluate_lambda_grid(system, weights, nominal, theta, grid):
 def _tune(system, weights, nominal, theta, grid=None):
     """(rows, bundle, report): the grid curve in the order given, the design
     at the bound-minimizing penalty, and its certified bound."""
-    if theta < 0:
+    if not theta >= 0:
         raise ValueError("theta must be nonnegative")
     if grid is None:
         grid = default_lambda_grid(system, weights)

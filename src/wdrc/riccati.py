@@ -19,7 +19,6 @@ import numpy as np
 from ._linalg import (
     is_psd,
     max_eigval,
-    min_eigval,
     psd_project,
     psd_sqrt,
     is_observable,
@@ -28,7 +27,7 @@ from ._linalg import (
     spectral_radius,
     sym,
 )
-from .ambiguity import worst_case_cov_finite
+from .ambiguity import _require_dominance, worst_case_cov_finite
 from .estimator import _measurement_update
 from .exceptions import AssumptionViolated, NoConvergence
 
@@ -124,38 +123,39 @@ def compute_phi(system, weights, lam):
     matrix has fewer columns than states, so callers decide how strictly to
     treat the flag.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
     B = system.B
     phi = sym(B @ solve_checked(weights.R, B.T, what="R") - np.eye(system.n_x) / lam)
     return PhiResult(phi, is_psd(phi))
 
 
-def _stage_update(A, B, Q, R, phi, lam, w_hat, tr_sigma_hat, P1, r1, q1, stage_label):
-    """One backward step of the coupled (P, S, r, q) recursion plus gains."""
-    n = A.shape[0]
-    if min_eigval(lam * np.eye(n) - P1) <= 0.0:
-        raise AssumptionViolated(
-            "1 (penalty dominance)",
-            "lam*I - P is not positive definite at stage %s; increase lam" % stage_label,
-        )
-    T1 = np.eye(n) + P1 @ phi
-    inv1_PA = np.linalg.solve(T1, P1 @ A)
-    inv1_r = np.linalg.solve(T1, r1)
-    inv1_Pw = np.linalg.solve(T1, P1 @ w_hat)
-    inv1_rw = inv1_r + inv1_Pw
+def _riccati_step(A, Q, phi, lam, P, where):
+    """One stage of the penalized Riccati map at P: tests assumption 1
+    (lam*I - P positive definite; ``where`` names the stage), then returns
+    sym(Q + A'(I + P Phi)^-1 P A) together with (I + P Phi)^-1 P A."""
+    _require_dominance(lam, P, where)
+    inv1_PA = np.linalg.solve(np.eye(P.shape[0]) + P @ phi, P @ A)
+    return sym(Q + A.T @ inv1_PA), inv1_PA
 
-    P0 = sym(A.T @ inv1_PA + Q)
-    S0 = sym(Q + A.T @ P1 @ A - P0)
-    r0 = A.T @ inv1_rw
-    q0 = q1 + (2.0 * w_hat - phi @ r1) @ inv1_r + w_hat @ inv1_Pw - lam * tr_sigma_hat
 
-    K = -np.linalg.solve(R, B.T @ inv1_PA)
+def _gains(A, B, R, lam, w_hat, P, r, inv1_PA, inv1_rw):
+    """Controller gain and bias (K, L) and adversary mean parameters (H, G)
+    from P, r, (I + P Phi)^-1 P A and (I + P Phi)^-1 (r + P w_hat)."""
+    K = -solve_checked(R, B.T @ inv1_PA, what="R")
     L = -np.linalg.solve(R, B.T @ inv1_rw)
-    lamP = lam * np.eye(n) - P1
-    H = np.linalg.solve(lamP, P1 @ (A + B @ K))
-    G = np.linalg.solve(lamP, P1 @ (B @ L) + r1 + lam * w_hat)
-    return P0, S0, r0, q0, K, L, H, G
+    lamP = lam * np.eye(P.shape[0]) - P
+    H = solve_checked(lamP, P @ (A + B @ K), what="lam*I - P")
+    G = np.linalg.solve(lamP, P @ (B @ L) + r + lam * w_hat)
+    return K, L, H, G
+
+
+def _offset(P, phi, lam, w_hat, tr_sigma_hat, r):
+    """Constant-term increment (2 w_hat - Phi r)'(I + P Phi)^-1 r + w_hat'(I + P Phi)^-1 P w_hat
+    - lam Tr[Sigma_hat], and the sum (I + P Phi)^-1 r + (I + P Phi)^-1 P w_hat of its solves."""
+    T1 = np.eye(P.shape[0]) + P @ phi
+    inv1_r, inv1_Pw = np.linalg.solve(T1, r), np.linalg.solve(T1, P @ w_hat)
+    return (2.0 * w_hat - phi @ r) @ inv1_r + w_hat @ inv1_Pw - lam * tr_sigma_hat, inv1_r + inv1_Pw
 
 
 def backward_pass(system, weights, nominal, lam, horizon):
@@ -166,7 +166,7 @@ def backward_pass(system, weights, nominal, lam, horizon):
     AssumptionViolated if lam*I - P loses positive definiteness at any stage
     where the recursion uses it (stages 1..T).
     """
-    A, B = system.A, system.B
+    A, B, Q = system.A, system.B, weights.Q
     n, nu = system.n_x, system.n_u
     T = int(horizon)
     if T < 1:
@@ -186,10 +186,12 @@ def backward_pass(system, weights, nominal, lam, horizon):
 
     P[T] = sym(weights.Qf)
     for t in range(T - 1, -1, -1):
-        P[t], S[t], r[t], q[t], K[t], L[t], H[t], G[t] = _stage_update(
-            A, B, weights.Q, weights.R, phi, lam, w_hat, tr_sigma_hat,
-            P[t + 1], r[t + 1], q[t + 1], "t=%d" % (t + 1),
-        )
+        P1, r1 = P[t + 1], r[t + 1]
+        P[t], inv1_PA = _riccati_step(A, Q, phi, lam, P1, "at stage t=%d" % (t + 1))
+        dq, inv1_rw = _offset(P1, phi, lam, w_hat, tr_sigma_hat, r1)
+        S[t] = sym(Q + A.T @ P1 @ A - P[t])
+        r[t], q[t] = A.T @ inv1_rw, q[t + 1] + dq
+        K[t], L[t], H[t], G[t] = _gains(A, B, weights.R, lam, w_hat, P1, r1, inv1_PA, inv1_rw)
     return P, S, r, q, K, L, H, G
 
 
@@ -225,14 +227,12 @@ def solve_are(system, weights, lam):
     regularity conditions hold, to a Frobenius change below 1e-12 within
     1e5 sweeps (NoConvergence otherwise). Checks performed: (A, Q^1/2)
     observable and (A, proj_psd(Phi)^1/2) stabilizable up front (PBH rank
-    tests); after convergence, residual below 1e-9, lam*I - P positive
-    definite, and the penalized closed-loop map A'(I + P Phi)^-1 strictly
-    stable. Phi >= 0 is not required: any system with fewer inputs than
-    states has Phi indefinite by exactly 1/lam.
+    tests); lam*I - P positive definite at every sweep, so an inadmissible
+    lam fails fast; after convergence, residual below 1e-9 and A'(I + P Phi)^-1
+    strictly stable. Phi >= 0 is not required: any system with fewer inputs
+    than states has Phi indefinite by exactly 1/lam.
     """
-    A = system.A
-    n = system.n_x
-    Q = weights.Q
+    A, Q = system.A, weights.Q
     if lam <= max_eigval(Q):
         raise AssumptionViolated(
             "1 (penalty dominance)",
@@ -244,10 +244,9 @@ def solve_are(system, weights, lam):
     if not is_observable(A, psd_sqrt(Q)):
         raise AssumptionViolated("3 (control regularity)", "(A, Q^1/2) is not observable")
 
-    eye = np.eye(n)
     P = sym(Q)
-    for _ in range(_ARE_MAX_ITER):
-        P_next = sym(Q + A.T @ np.linalg.solve(eye + P @ phi, P @ A))
+    for sweep in range(_ARE_MAX_ITER):
+        P_next = _riccati_step(A, Q, phi, lam, P, "at sweep %d" % sweep)[0]
         delta = np.linalg.norm(P_next - P, "fro")
         P = P_next
         if delta < _ARE_TOL:
@@ -255,15 +254,10 @@ def solve_are(system, weights, lam):
     else:
         raise NoConvergence("value iteration for the steady-state equation hit %d iterations" % _ARE_MAX_ITER)
 
-    residual = np.linalg.norm(P - Q - A.T @ np.linalg.solve(eye + P @ phi, P @ A), "fro")
+    residual = np.linalg.norm(P - _riccati_step(A, Q, phi, lam, P, "at P_ss")[0], "fro")
     if residual >= _ARE_RESIDUAL_TOL:
         raise NoConvergence("steady-state equation residual %.3e above %.1e" % (residual, _ARE_RESIDUAL_TOL))
-    if min_eigval(lam * eye - P) <= 0.0:
-        raise AssumptionViolated(
-            "1 (penalty dominance)",
-            "lam*I - P_ss is not positive definite (lam=%.6g, max eig P=%.6g)" % (lam, max_eigval(P)),
-        )
-    closed = np.linalg.solve((eye + P @ phi).T, A).T  # A'(I + P Phi)^-1
+    closed = np.linalg.solve((np.eye(system.n_x) + P @ phi).T, A).T  # A'(I + P Phi)^-1
     if spectral_radius(closed) >= 1.0:
         raise AssumptionViolated("3 (control regularity)", "penalized closed-loop map is not stable")
     return P
@@ -271,13 +265,11 @@ def solve_are(system, weights, lam):
 
 def steady_state_policy_params(system, weights, nominal, lam, P_ss):
     """Closed-form steady-state S, r and policy parameters K, L, H, G."""
-    A, B = system.A, system.B
-    n = system.n_x
-    eye = np.eye(n)
-    if min_eigval(lam * eye - P_ss) <= 0.0:
-        raise AssumptionViolated("1 (penalty dominance)", "lam*I - P_ss is not positive definite")
+    A = system.A
+    eye = np.eye(system.n_x)
     phi = compute_phi(system, weights, lam).matrix
     w_hat = nominal.w_hat
+    inv1_PA = _riccati_step(A, weights.Q, phi, lam, P_ss, "at P_ss")[1]
 
     T1 = eye + P_ss @ phi
     S = sym(weights.Q + A.T @ P_ss @ A - P_ss)
@@ -289,13 +281,8 @@ def steady_state_policy_params(system, weights, nominal, lam, P_ss):
             "3 (control regularity)",
             "resolvent I - A'(I + P Phi)^-1 is singular; steady-state bias undefined",
         )
-    inv1_PA = solve_checked(T1, P_ss @ A, what="I + P Phi")
     inv1_rw = np.linalg.solve(T1, r + P_ss @ w_hat)
-    K = -solve_checked(weights.R, B.T @ inv1_PA, what="R")
-    L = -np.linalg.solve(weights.R, B.T @ inv1_rw)
-    lamP = lam * eye - P_ss
-    H = solve_checked(lamP, P_ss @ (A + B @ K), what="lam*I - P")
-    G = np.linalg.solve(lamP, P_ss @ (B @ L) + r + lam * w_hat)
+    K, L, H, G = _gains(A, system.B, weights.R, lam, w_hat, P_ss, r, inv1_PA, inv1_rw)
     return SteadyPolicyParams(S=S, r=r, K=K, L=L, H=H, G=G)
 
 

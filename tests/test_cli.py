@@ -86,6 +86,28 @@ class TestDesignCommand:
                                  "R": [[1.0]]}}),
         ("lambda_grid.points", {"lambda_grid": {"points": 0}}),
         ("lambda_grid.hi", {"lambda_grid": {"hi": -5}}),
+        ("horizon", {"horizon": "ten"}),
+        ("horizon", {"horizon": 1.5}),
+        ("runs", {"runs": "x"}),
+        ("seed", {"seed": "x"}),
+        ("jitter", {"jitter": "x"}),
+        ("traces", {"traces": "x"}),
+        ("dataset_draws", {"dataset_draws": "x"}),
+        ("lambda", {"lambda": "abc"}),
+        ("lambda", {"lambda": [1, 2]}),
+        ("lambda", {"lambda": float("nan")}),
+        ("theta", {"lambda": None, "theta": "x"}),
+        ("lambda_grid.points", {"lambda_grid": {"points": "x"}}),
+        ("lambda_grid", {"lambda_grid": ["a"]}),
+        ("lambda_grid", {"lambda_grid": [4.0, -1.0]}),
+        ("seed", {"seed": -1}),
+        ("nominal.sample_count", {"nominal": {"sample_count": "x"}}),
+        ("system.power_grid.n_gen", {"system": {"power_grid": {"n_gen": "x"}}}),
+        ("system.power_grid.observed_gens",
+         {"system": {"power_grid": {"n_gen": 3, "observed_gens": "x"}}}),
+        ("system.power_grid.dt", {"system": {"power_grid": {"n_gen": 3, "dt": "x"}}}),
+        ("thetas", {"thetas": "abc"}),
+        ("sample_sizes", {"sample_sizes": ["x"]}),
     ])
     def test_malformed_field_exit_code(self, tmp_path, capsys, field, updates):
         cfg = write_config(tmp_path, dict(updates, out_dir=str(tmp_path / "o")))

@@ -60,6 +60,19 @@ class TestDesignWdrc:
         b = design_wdrc(REF["system"], REF["weights"], REF["nominal"], REF["lam"])
         assert dumps_json(bundle_to_dict(a)) == dumps_json(bundle_to_dict(b))
 
+    def test_undetectable_filter_fails_fast(self):
+        # (A, C) = (2, 0): the ascent's filter recursion cannot converge
+        system = scalar_system(a=2.0, b=1.0, c=0.0)
+        start = time.perf_counter()
+        with pytest.raises(AssumptionViolated, match="assumption 4"):
+            design_wdrc(system, scalar_weights(), scalar_nominal(), 10.0)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_penalty_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            design_wdrc(REF["system"], REF["weights"], REF["nominal"], lam)
+
     def test_provenance_digest_tracks_inputs(self):
         a = design_wdrc(REF["system"], REF["weights"], REF["nominal"], REF["lam"])
         b = design_wdrc(REF["system"], REF["weights"], REF["nominal"], 11.0)
@@ -146,6 +159,10 @@ class TestRhoAndBound:
         with pytest.raises(ValueError):
             guaranteed_bound(-0.1, 1.0, 1.0)
 
+    def test_nan_theta_rejected(self):
+        with pytest.raises(ValueError, match="theta must be nonnegative"):
+            guaranteed_bound(float("nan"), 1.0, 1.0)
+
 
 class TestTuneLambda:
     def test_matches_exhaustive_oracle(self):
@@ -171,6 +188,11 @@ class TestTuneLambda:
             rhos[lam] = b.steady.rho
         assert lam_star == min(grid, key=lambda l: rhos[l])
         assert report.bound == report.rho
+
+    def test_nan_theta_rejected(self):
+        with pytest.raises(ValueError, match="theta must be nonnegative"):
+            tune_lambda(REF["system"], REF["weights"], REF["nominal"], float("nan"),
+                        grid=[4.0, 8.0])
 
     def test_all_inadmissible(self):
         with pytest.raises(NoAdmissibleLambda):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from wdrc import (
     backward_pass,
     check_lambda,
     compute_phi,
+    design_wdrc,
+    evaluate_rho,
     finite_horizon_recursion,
     solve_are,
     steady_state_policy_params,
@@ -95,6 +99,15 @@ class TestSolveAre:
         with pytest.raises(AssumptionViolated) as exc:
             solve_are(REF["system"], REF["weights"], 1.0)
         assert "assumption 1" in str(exc.value)
+
+    @pytest.mark.parametrize("lam", [118.19994783551499, 236.98652213825636])
+    def test_inadmissible_grid_penalty_fails_fast(self, lam):
+        # above max eig Q, but the iterates cross lam within tens of sweeps
+        system, weights = wdrc.synthetic_power_grid()
+        start = time.perf_counter()
+        with pytest.raises(AssumptionViolated, match="assumption 1"):
+            solve_are(system, weights, lam)
+        assert time.perf_counter() - start < 1.0
 
     def test_unobservable_rejected(self):
         system = scalar_system(a=2.0)
@@ -209,10 +222,19 @@ class TestFiniteHorizonRecursion:
                 assert np.abs(m - m.T).max() < 1e-12
 
     def test_gains_converge_toward_steady_state(self):
-        system, weights, nominal, lam = (REF["system"], REF["weights"],
-                                         REF["nominal"], REF["lam"])
-        sol = finite_horizon_recursion(system, weights, nominal, lam, 60)
+        system, weights, lam = REF["system"], REF["weights"], REF["lam"]
         P_ss = solve_are(system, weights, lam)
-        params = steady_state_policy_params(system, weights, nominal, lam, P_ss)
-        assert np.abs(sol.K[0] - params.K).max() < 1e-8
-        assert np.abs(sol.H[0] - params.H).max() < 1e-8
+        for nominal in (REF["nominal"], scalar_nominal(w=0.3)):
+            sol = finite_horizon_recursion(system, weights, nominal, lam, 60)
+            params = steady_state_policy_params(system, weights, nominal, lam, P_ss)
+            for name in ("K", "L", "H", "G"):
+                assert np.abs(getattr(sol, name)[0] - getattr(params, name)).max() < 1e-8
+
+    def test_constant_term_increment_approaches_rho(self):
+        # q_t - q_{t+1} tends to the stationary rho - z of the same closed form
+        system, weights, lam = REF["system"], REF["weights"], REF["lam"]
+        nominal = scalar_nominal(w=0.3, s=2.0)
+        steady = design_wdrc(system, weights, nominal, lam).steady
+        q = backward_pass(system, weights, nominal, lam, 200)[3]
+        expected = evaluate_rho(steady, nominal) - steady.z
+        assert abs((q[0] - q[1]) - expected) < 1e-9 * (1.0 + abs(expected))
