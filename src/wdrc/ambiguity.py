@@ -65,11 +65,12 @@ _FILTER_RESIDUAL_TOL = 1e-8  # largest accepted stationary filter-equation resid
 
 @dataclass(frozen=True)
 class WorstCaseCovResult:
-    """Maximizer Sigma_star, the induced filtered covariance, the optimal
-    value, the first-order stationarity residual, and the iteration count."""
+    """Maximizer Sigma_star, its filtered and one-step-ahead covariances, the
+    optimal value, the first-order stationarity residual, the iteration count."""
 
     sigma_star: np.ndarray
     x_cov: np.ndarray
+    x_prior: np.ndarray
     objective: float
     kkt_residual: float
     iterations: int
@@ -173,7 +174,7 @@ def _filter_fixpoint(A, C, M, sigma, start):
 
 def _ascend(sigma_hat, P, lam, coupling):
     """Shared projected-ascent loop; ``coupling`` maps Sigma to
-    (Tr[S X], Omega, X) for the variant being solved.
+    (Tr[S X], Omega, (X, X_prior)) for the variant being solved.
 
     The stationarity residual is the projected-gradient mapping norm divided
     by max(1, lam): gradient entries are differences of O(lam) terms, so an
@@ -195,24 +196,24 @@ def _ascend(sigma_hat, P, lam, coupling):
     range_proj = sym((v_hat[:, keep]) @ (v_hat[:, keep]).T)
 
     def evaluate(sigma):
-        tr_sx, omega, x_next = coupling(sigma)
+        tr_sx, omega, covs = coupling(sigma)
         t_val, t_grad = _tr_sqrt_and_grad(sqrt_hat, sigma)
         f = tr_sx + float(np.sum(pm * sigma)) + 2.0 * lam * t_val
         g = sym(omega + pm + 2.0 * lam * t_grad)
-        return f, g, x_next, omega
+        return f, g, covs, omega
 
     def mapping_residual(sigma, g):
         return np.linalg.norm(psd_project(sigma + g) - sigma, "fro") / scale
 
     sigma = psd_project(sigma_hat)
-    f, g, x_next, omega = evaluate(sigma)
+    f, g, covs, omega = evaluate(sigma)
     residual = mapping_residual(sigma, g)
     step = 1.0 / scale
     iterations = 0
     stalled = 0
     for iterations in range(1, _ASCENT_MAX_ITER + 1):
         if residual <= _ASCENT_TOL:
-            return WorstCaseCovResult(sigma, x_next, f, residual, iterations)
+            return WorstCaseCovResult(sigma, *covs, f, residual, iterations)
 
         new = None
         w_mat = sym(lam * eye - P - omega)
@@ -247,12 +248,12 @@ def _ascend(sigma_hat, P, lam, coupling):
             break  # no improving step exists at float resolution
         assert new[1] >= f - 1e-9 * (1.0 + abs(f)), "ascent objective must be nondecreasing"
         stalled = stalled + 1 if new[1] <= f + 1e-14 * (1.0 + abs(f)) else 0
-        sigma, f, g, x_next, omega, residual = new
+        sigma, f, g, covs, omega, residual = new
         if stalled >= 5:
             break  # progress below float resolution several sweeps in a row
 
     if residual <= _ASCENT_TOL:
-        return WorstCaseCovResult(sigma, x_next, f, residual, iterations)
+        return WorstCaseCovResult(sigma, *covs, f, residual, iterations)
     raise NoConvergence(
         "worst-case covariance ascent stalled at normalized residual %.3e after %d iterations"
         % (residual, iterations)
@@ -286,7 +287,7 @@ def worst_case_cov_steady(system, S_ss, P_ss, sigma_hat, lam):
         x_post, _, ikc = _measurement_update(x_prior, C, M)
         loop = A @ ikc
         omega = dlyap(loop, sym(ikc.T @ S_ss @ ikc))
-        return float(np.sum(S_ss * x_post)), omega, x_post
+        return float(np.sum(S_ss * x_post)), omega, (x_post, x_prior)
 
     return _ascend(sigma_hat, P_ss, lam, coupling)
 
@@ -309,18 +310,19 @@ def worst_case_cov_finite(system, S_next, P_next, sigma_hat, lam, x_cov):
         x_prior = sym(propagated + sigma)
         x_post, _, ikc = _measurement_update(x_prior, C, M)
         omega = sym(ikc.T @ S_next @ ikc)
-        return float(np.sum(S_next * x_post)), omega, x_post
+        return float(np.sum(S_next * x_post)), omega, (x_post, x_prior)
 
     return _ascend(sigma_hat, P_next, lam, coupling)
 
 
-def solve_filter_are(system, sigma_star):
+def solve_filter_are(system, sigma_star, *, start=None):
     """Stationary (one-step-ahead, filtered) covariance pair for noise sigma_star.
 
     Checks the filter regularity conditions numerically ((A, C) detectable,
     (A, sigma_star^1/2) stabilizable), then iterates the covariance recursion
-    from zero until the Frobenius change is below 1e-12 (at most 1e5 steps).
-    The stationary-equation residual must come out at most 1e-8.
+    from the one-step-ahead covariance ``start`` (default zero; design_wdrc
+    passes the covariance program's) until the Frobenius change is below 1e-12
+    (at most 1e5 steps). The stationary-equation residual must be at most 1e-8.
     """
     A, C, M = system.A, system.C, system.M
     sigma_star = sym(np.asarray(sigma_star, dtype=float))
@@ -329,7 +331,7 @@ def solve_filter_are(system, sigma_star):
     if not is_stabilizable(A, psd_sqrt(psd_project(sigma_star))):
         raise AssumptionViolated("4 (filter regularity)", "(A, Sigma^1/2) is not stabilizable")
 
-    x_prior = _filter_fixpoint(A, C, M, sigma_star, np.zeros_like(sigma_star))
+    x_prior = _filter_fixpoint(A, C, M, sigma_star, np.zeros_like(sigma_star) if start is None else start)
     x_post = _measurement_update(x_prior, C, M)[0]
     residual = np.linalg.norm(x_prior - sym(A @ x_post @ A.T + sigma_star), "fro")
     if residual > _FILTER_RESIDUAL_TOL:

@@ -209,8 +209,10 @@ def load_config(path, overrides=None):
         raise ConfigError("lambda/theta", "exactly one of 'lambda' or 'theta' must be set")
     lam = _scalar(raw["lambda"], float, "lambda", 0) if has_lam else None
     theta = _scalar(raw["theta"], float, "theta") if has_theta else None
-    if theta is not None and theta < 0:
-        raise ConfigError("theta", "must be nonnegative")
+    thetas = _scalar(raw.get("thetas") or [], [float], "thetas")
+    for field, values in (("theta", [theta] if has_theta else []), ("thetas", thetas)):
+        if min(values, default=0.0) < 0:
+            raise ConfigError(field, "must be nonnegative")
 
     seed = _scalar(raw.get("seed", 0), int, "seed", -1)
     jitter = _scalar(raw.get("jitter", 1e-8), float, "jitter")
@@ -243,7 +245,7 @@ def load_config(path, overrides=None):
     return ExperimentConfig(
         system=system, weights=weights, truth=truth, x0=x0, nominal=nominal,
         lam=lam, theta=theta, lambda_grid=grid,
-        thetas=_scalar(raw.get("thetas") or [], [float], "thetas") or None,
+        thetas=thetas or None,
         sample_sizes=_scalar(raw.get("sample_sizes") or [], [int], "sample_sizes", 0) or None,
         dataset_draws=_scalar(raw.get("dataset_draws", 20), int, "dataset_draws", 0),
         horizon=horizon, runs=runs, seed=seed,

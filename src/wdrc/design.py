@@ -122,18 +122,39 @@ def evaluate_rho(steady, nominal):
     return float(value + steady.z)
 
 
+class _StagedPenalty(float):
+    """A penalty carrying (Phi, P_ss) or solve_are's rejection; arithmetic sees the penalty."""
+
+    __slots__ = ("plant", "stage", "error")
+
+
+def _stage(system, weights, lam):
+    """``lam`` with design_wdrc's nominal-free half for this plant, solved unless it carries it."""
+    if isinstance(lam, _StagedPenalty) and lam.plant[0] is system and lam.plant[1] is weights:
+        return lam
+    staged = _StagedPenalty(lam)
+    staged.plant, staged.error = (system, weights), None
+    try:
+        staged.stage = compute_phi(system, weights, staged).matrix, solve_are(system, weights, staged)
+    except (AssumptionViolated, NoConvergence) as exc:
+        staged.error = exc, exc.__traceback__
+    return staged
+
+
 def design_wdrc(system, weights, nominal, lam, theta=None, seed=None):
     """Offline synthesis of the robust policy pair at penalty ``lam``.
 
     Pipeline: steady-state Riccati solve, policy parameters, worst-case
-    covariance program, stationary filter. Raises AssumptionViolated or
-    NoConvergence from whichever stage fails, naming the broken condition.
+    covariance program, stationary filter (from the program's X_prior). Raises
+    AssumptionViolated or NoConvergence from whichever stage fails.
     """
-    phi = compute_phi(system, weights, lam).matrix
-    P = solve_are(system, weights, lam)
+    lam = _stage(system, weights, lam)
+    if lam.error:
+        raise lam.error[0].with_traceback(lam.error[1])
+    phi, P = lam.stage
     params = steady_state_policy_params(system, weights, nominal, lam, P)
     wc = worst_case_cov_steady(system, params.S, P, nominal.sigma_hat, lam)
-    X_prior, X_post = solve_filter_are(system, wc.sigma_star)
+    X_prior, X_post = solve_filter_are(system, wc.sigma_star, start=wc.x_prior)
     if np.abs(X_post - wc.x_cov).max() > 1e-6 * (1.0 + np.abs(X_post).max()):
         raise NoConvergence("filter covariance mismatch between the covariance "
                             "program and the stationary filter solve")
@@ -215,13 +236,13 @@ def evaluate_lambda_grid(system, weights, nominal, theta, grid):
     not fatal. Returns a list of dict rows (lam, rho, bound, status, bundle),
     with ``bundle`` the design at that penalty, or None for a rejected row."""
     rows = []
-    for lam in np.asarray(grid, dtype=float):
+    for lam in grid:
         row = {"lam": float(lam), "rho": None, "bound": None, "status": "ok",
                "bundle": None}
         try:
             bundle = design_wdrc(system, weights, nominal, lam, theta=theta)
             row["rho"] = bundle.steady.rho
-            row["bound"] = float(theta * theta * lam + bundle.steady.rho)
+            row["bound"] = float(theta * theta * row["lam"] + bundle.steady.rho)
             row["bundle"] = bundle
         except AssumptionViolated as exc:
             row["status"] = "assumption: %s" % exc
@@ -238,15 +259,14 @@ def _tune(system, weights, nominal, theta, grid=None):
         raise ValueError("theta must be nonnegative")
     if grid is None:
         grid = default_lambda_grid(system, weights)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
+    if len(grid) == 0:
         raise ValueError("grid must be nonempty")
     rows = evaluate_lambda_grid(system, weights, nominal, theta, grid)
     ok = [r for r in rows if r["status"] == "ok"]
     if not ok:
         raise NoAdmissibleLambda(
             "no admissible penalty on the grid [%g, %g] (%d points)"
-            % (grid.min(), grid.max(), grid.size)
+            % (min(grid), max(grid), len(grid))
         )
     best = min(ok, key=lambda r: (r["bound"], r["lam"]))
     return rows, best["bundle"], guaranteed_bound(theta, best["lam"], best["rho"])

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._linalg import spectral_radius, sym
 from .ambiguity import bures_squared
-from .design import _tune
+from .design import _stage, _tune, default_lambda_grid
 from .exceptions import AssumptionViolated, NoAdmissibleLambda, NoConvergence
 from .model import Gaussian, empirical_moments
 
@@ -238,8 +238,15 @@ def out_of_sample_curve(system, weights, truth, sample_sizes, thetas, runs,
     design, and estimate the average cost under the truth by Monte Carlo.
     Reports the mean cost, the mean certified bound, and the fraction of
     draws whose realized cost exceeded their bound. Design failures are
-    recorded per cell rather than raised.
+    recorded per cell rather than raised; the grid's Riccati stages are shared.
     """
+    if not all(theta >= 0 for theta in thetas):
+        raise ValueError("theta must be nonnegative")
+    try:
+        grid = [_stage(system, weights, lam) for lam in (
+            default_lambda_grid(system, weights) if lambda_grid is None else lambda_grid)]
+    except (AssumptionViolated, NoConvergence):
+        grid = None  # then each draw's own default grid fails and is recorded
     base = _seed_sequence(base_seed)
     rows = []
     for i, n_samples in enumerate(sample_sizes):
@@ -254,8 +261,7 @@ def out_of_sample_curve(system, weights, truth, sample_sizes, thetas, runs,
                 samples = np.atleast_2d(truth.sample(rng, int(n_samples)))
                 nominal = empirical_moments(samples, jitter=jitter)
                 try:
-                    _, bundle, report = _tune(system, weights, nominal, theta,
-                                              lambda_grid)
+                    _, bundle, report = _tune(system, weights, nominal, theta, grid)
                     summary = monte_carlo_summary(bundle, truth, horizon, runs,
                                                   eval_seed, x0_model=x0_model)
                 except (AssumptionViolated, NoConvergence, NoAdmissibleLambda):

@@ -192,6 +192,32 @@ class TestSolveFilterAre:
             solve_filter_are(system, np.eye(1))
         assert "assumption 4" in str(exc.value)
 
+    def test_converged_start_matches_cold_start(self):
+        rng = np.random.default_rng(45)
+        for _ in range(5):
+            n = int(rng.integers(1, 4))
+            A = rng.standard_normal((n, n)) * 0.5
+            system = wdrc.LinearSystem(A=A, B=np.eye(n), C=np.eye(n),
+                                       M=0.3 * np.eye(n), m0=np.zeros(n), M0=np.eye(n))
+            sigma_hat = random_psd(rng, n) + 0.1 * np.eye(n)
+            res = worst_case_cov_steady(system, random_psd(rng, n),
+                                        random_psd(rng, n) + 0.1 * np.eye(n), sigma_hat, 40.0)
+            cold = solve_filter_are(system, res.sigma_star)
+            stationary = A @ res.x_cov @ A.T + res.sigma_star
+            assert np.abs(res.x_prior - stationary).max() <= 1e-10 * np.abs(stationary).max()
+            for start in (res.x_prior, cold[0]):
+                warm = solve_filter_are(system, res.sigma_star, start=start)
+                for a, b in zip(warm, cold):
+                    assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
+    @pytest.mark.parametrize("a, c, sigma", [(2.0, 0.0, 1.0), (2.0, 1.0, 0.0)])
+    def test_start_keeps_regularity_checks(self, a, c, sigma):
+        # undetectable (c = 0) or non-stabilizable (sigma = 0) at an unstable a
+        system = scalar_system(a=a, c=c)
+        for start in (np.zeros((1, 1)), np.eye(1), np.array([[1e3]])):
+            with pytest.raises(AssumptionViolated, match="assumption 4"):
+                solve_filter_are(system, np.array([[sigma]]), start=start)
+
     def test_update_never_increases_covariance(self):
         rng = np.random.default_rng(44)
         for _ in range(10):

@@ -108,6 +108,7 @@ class TestDesignCommand:
         ("system.power_grid.dt", {"system": {"power_grid": {"n_gen": 3, "dt": "x"}}}),
         ("thetas", {"thetas": "abc"}),
         ("sample_sizes", {"sample_sizes": ["x"]}),
+        ("thetas", {"thetas": [0.1, -0.1]}),
     ])
     def test_malformed_field_exit_code(self, tmp_path, capsys, field, updates):
         cfg = write_config(tmp_path, dict(updates, out_dir=str(tmp_path / "o")))

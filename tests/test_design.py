@@ -199,6 +199,38 @@ class TestTuneLambda:
             tune_lambda(REF["system"], REF["weights"], REF["nominal"], 0.1,
                         grid=[0.2, 0.5, 0.9])
 
+    @pytest.mark.parametrize("plant", ["ref", "random3"])
+    def test_staged_rows_equal_design_wdrc(self, plant):
+        # a grid staged once, as out_of_sample_curve shares it across draws,
+        # tunes to the same designs as design_wdrc solving each stage itself
+        if plant == "ref":
+            system, weights, nominal = REF["system"], REF["weights"], REF["nominal"]
+            grid = [1.5, 4.0, 8.0, 16.0]  # 1.5 fails assumption 1
+        else:
+            system, weights, nominal = random_system(np.random.default_rng(31), 3)
+            grid = list(wdrc.default_lambda_grid(system, weights, points=6))
+        theta = 0.05
+        staged = [wdrc.design._stage(system, weights, lam) for lam in grid]
+        for _ in range(2):  # a second nominal reuses the same stages
+            rows = wdrc.design._tune(system, weights, nominal, theta, staged)[0]
+            assert [r["lam"] for r in rows] == grid
+            for row, lam in zip(rows, grid):
+                try:
+                    expected = design_wdrc(system, weights, nominal, lam, theta=theta).steady
+                except (AssumptionViolated, wdrc.NoConvergence) as exc:
+                    assert row["status"].endswith(str(exc))
+                    continue
+                got = row["bundle"].steady
+                for name in ("P", "S", "Sigma_star", "K", "L", "H", "G"):
+                    assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+                assert (got.z, got.rho) == (expected.z, expected.rho)
+                for name in ("X_prior", "X_post"):
+                    a, b = getattr(got, name), getattr(expected, name)
+                    assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max(), name
+            nominal = wdrc.NominalMoments(w_hat=nominal.w_hat + 0.1,
+                                          sigma_hat=2.0 * nominal.sigma_hat)
+        assert {r["status"] == "ok" for r in rows} == {True, False}
+
 
 class TestRadiusFromSamples:
     def test_light_tail_branches(self):

@@ -258,6 +258,40 @@ class TestOutOfSampleCurve:
         assert rows[0]["failures"] == 0
         assert len(calls) == 2 * len(grid)
 
+    @pytest.mark.parametrize("grid", [[4.0, 8.0, 16.0], None])
+    def test_solves_each_stage_once(self, monkeypatch, grid):
+        # the Riccati stage depends on the plant and penalty only, so a 3-draw
+        # cell solves each penalty's stage once; the default grid (one solve at
+        # its upper end plus 40 stages) is also built once per call
+        calls = []
+        solve = wdrc.design.solve_are
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(wdrc.design, "solve_are", counting)
+        rows = out_of_sample_curve(REF["system"], REF["weights"], Gaussian([0.0], [[1.0]]),
+                                   [20], [0.05], runs=2, base_seed=3, dataset_draws=3,
+                                   horizon=20, lambda_grid=grid)
+        assert rows[0]["failures"] == 0
+        assert len(calls) == (3 if grid else 41)
+
+    def test_negative_theta_rejected_before_any_design(self, monkeypatch):
+        calls = []
+        design = wdrc.design.design_wdrc
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return design(*args, **kwargs)
+
+        monkeypatch.setattr(wdrc.design, "design_wdrc", counting)
+        with pytest.raises(ValueError, match="theta must be nonnegative"):
+            out_of_sample_curve(REF["system"], REF["weights"], Gaussian([0.0], [[1.0]]),
+                                [20], [0.05, -0.1], runs=2, base_seed=3, dataset_draws=2,
+                                horizon=20, lambda_grid=[4.0, 8.0])
+        assert calls == []
+
     def test_deterministic_rows(self):
         system, weights = REF["system"], REF["weights"]
         truth = Gaussian([0.0], [[1.0]])
