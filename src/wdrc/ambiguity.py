@@ -65,8 +65,8 @@ _FILTER_RESIDUAL_TOL = 1e-8  # largest accepted stationary filter-equation resid
 
 @dataclass(frozen=True)
 class WorstCaseCovResult:
-    """Maximizer Sigma_star, its filtered and one-step-ahead covariances, the
-    optimal value, the first-order stationarity residual, the iteration count."""
+    """Maximizer Sigma_star, its filtered and one-step-ahead covariances (the
+    filter pair), the optimal value, the stationarity residual, the iteration count."""
 
     sigma_star: np.ndarray
     x_cov: np.ndarray
@@ -265,21 +265,20 @@ def worst_case_cov_steady(system, S_ss, P_ss, sigma_hat, lam):
 
     Raises AssumptionViolated when lam*I - P_ss is not PD (the program is
     unbounded there) or when (A, C) is not detectable, before any filter
-    recursion. On success the returned covariance pair satisfies the
-    stationary filter constraints to the filter tolerance and the result's
-    kkt_residual (projected-gradient norm over max(1, lam)) is at most
-    1e-7. S_ss is nominally PSD but is accepted with the O(|P|^2/lam)
-    negative part that partially actuated plants produce; the ascent then
-    certifies a stationary point rather than a global concave maximum.
+    recursion. On success (x_prior, x_cov) is the stationary filter pair at
+    sigma_star, certified with solve_filter_are's checks, so the robust design
+    needs no filter solve of its own; kkt_residual (projected-gradient norm
+    over max(1, lam)) is at most 1e-7. S_ss is nominally PSD but is accepted
+    with the O(|P|^2/lam) negative part that partially actuated plants
+    produce; the ascent then certifies a stationary point, not a global maximum.
     """
     A, C, M = system.A, system.C, system.M
-    n = system.n_x
     _require_dominance(lam, P_ss, "for the covariance program")
     _check_psd_input(sigma_hat, "sigma_hat")
     if not is_detectable(A, C):  # the filter recursions below could never converge
         raise AssumptionViolated("4 (filter regularity)", "(A, C) is not detectable")
     S_ss = sym(S_ss)
-    warm = {"x_prior": sym(np.asarray(sigma_hat, dtype=float)) + np.eye(n)}
+    warm = {"x_prior": sym(np.asarray(sigma_hat, dtype=float)) + np.eye(system.n_x)}
 
     def coupling(sigma):
         x_prior = _filter_fixpoint(A, C, M, sigma, warm["x_prior"])
@@ -289,7 +288,9 @@ def worst_case_cov_steady(system, S_ss, P_ss, sigma_hat, lam):
         omega = dlyap(loop, sym(ikc.T @ S_ss @ ikc))
         return float(np.sum(S_ss * x_post)), omega, (x_post, x_prior)
 
-    return _ascend(sigma_hat, P_ss, lam, coupling)
+    result = _ascend(sigma_hat, P_ss, lam, coupling)
+    _certified_filter_pair(A, C, M, result.sigma_star, result.x_prior)
+    return result
 
 
 def worst_case_cov_finite(system, S_next, P_next, sigma_hat, lam, x_cov):
@@ -315,26 +316,29 @@ def worst_case_cov_finite(system, S_next, P_next, sigma_hat, lam, x_cov):
     return _ascend(sigma_hat, P_next, lam, coupling)
 
 
-def solve_filter_are(system, sigma_star, *, start=None):
-    """Stationary (one-step-ahead, filtered) covariance pair for noise sigma_star.
-
-    Checks the filter regularity conditions numerically ((A, C) detectable,
-    (A, sigma_star^1/2) stabilizable), then iterates the covariance recursion
-    from the one-step-ahead covariance ``start`` (default zero; design_wdrc
-    passes the covariance program's) until the Frobenius change is below 1e-12
-    (at most 1e5 steps). The stationary-equation residual must be at most 1e-8.
-    """
-    A, C, M = system.A, system.C, system.M
-    sigma_star = sym(np.asarray(sigma_star, dtype=float))
-    if not is_detectable(A, C):
-        raise AssumptionViolated("4 (filter regularity)", "(A, C) is not detectable")
-    if not is_stabilizable(A, psd_sqrt(psd_project(sigma_star))):
+def _certified_filter_pair(A, C, M, sigma, x_prior):
+    """solve_filter_are's checks past detectability; ``x_prior`` None iterates from zero."""
+    if not is_stabilizable(A, psd_sqrt(psd_project(sigma))):
         raise AssumptionViolated("4 (filter regularity)", "(A, Sigma^1/2) is not stabilizable")
-
-    x_prior = _filter_fixpoint(A, C, M, sigma_star, np.zeros_like(sigma_star) if start is None else start)
+    if x_prior is None:
+        x_prior = _filter_fixpoint(A, C, M, sigma, np.zeros_like(sigma))
     x_post = _measurement_update(x_prior, C, M)[0]
-    residual = np.linalg.norm(x_prior - sym(A @ x_post @ A.T + sigma_star), "fro")
+    residual = np.linalg.norm(x_prior - sym(A @ x_post @ A.T + sigma), "fro")
     if residual > _FILTER_RESIDUAL_TOL:
         raise NoConvergence("filter stationary-equation residual %.3e above %.1e"
                             % (residual, _FILTER_RESIDUAL_TOL))
     return x_prior, x_post
+
+
+def solve_filter_are(system, sigma_star):
+    """Stationary (one-step-ahead, filtered) covariance pair for noise sigma_star.
+
+    Checks the filter regularity conditions numerically ((A, C) detectable,
+    (A, sigma_star^1/2) stabilizable), iterates the covariance recursion from
+    zero until the Frobenius change is below 1e-12 (at most 1e5 steps), and
+    requires a stationary-equation residual of at most 1e-8.
+    """
+    A, C = system.A, system.C
+    if not is_detectable(A, C):
+        raise AssumptionViolated("4 (filter regularity)", "(A, C) is not detectable")
+    return _certified_filter_pair(A, C, system.M, sym(np.asarray(sigma_star, dtype=float)), None)

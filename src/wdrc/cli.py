@@ -73,6 +73,13 @@ def _require(obj, key, path):
     return obj[key]
 
 
+def _object(value, field):
+    """``value`` if it is a JSON object; ConfigError naming ``field`` otherwise."""
+    if not isinstance(value, dict):
+        raise ConfigError(field, "expected an object, got %r" % (value,))
+    return value
+
+
 def _scalar(value, kind, field, above=None):
     """``value`` as a finite ``kind`` (int or float), greater than ``above``
     when given; ConfigError naming ``field`` for a non-numeric, non-finite,
@@ -94,9 +101,9 @@ def _scalar(value, kind, field, above=None):
 
 
 def _build_system(raw, path="system"):
-    if "power_grid" in raw:
-        g = raw["power_grid"]
+    if "power_grid" in _object(raw, path):
         path += ".power_grid"
+        g = _object(raw["power_grid"], path)
         n_gen = _scalar(_require(g, "n_gen", path), int, path + ".n_gen")
         observed = _scalar(g.get("observed_gens", n_gen), int, path + ".observed_gens")
         dt = _scalar(g.get("dt", 0.1), float, path + ".dt")
@@ -126,7 +133,7 @@ def _build_system(raw, path="system"):
 
 
 def _build_nominal(raw, truth, seed, jitter, path="nominal"):
-    jitter = _scalar(raw.get("jitter", jitter), float, path + ".jitter")
+    jitter = _scalar(_object(raw, path).get("jitter", jitter), float, path + ".jitter")
     if "mean" in raw or "cov" in raw:
         try:
             return NominalMoments(w_hat=_require(raw, "mean", path),
@@ -176,7 +183,7 @@ def load_config(path, overrides=None):
     system, default_weights = _build_system(_require(raw, "system", ""))
     if "weights" in raw:
         try:
-            weights = weights_from_json(raw["weights"])
+            weights = weights_from_json(_object(raw["weights"], "weights"))
         except KeyError as exc:
             raise ConfigError("weights", "missing matrix %s" % exc)
         except ValueError as exc:

@@ -1,10 +1,10 @@
 """Offline controller synthesis, the LQG baseline, cost bounds, and tuning.
 
 ``design_wdrc`` runs the offline stage end to end: steady-state Riccati
-solve, closed-form policy parameters, worst-case covariance program, and the
-stationary filter, bundling everything needed to run online with no further
-solves. ``design_lqg`` builds the certainty-equivalent baseline that plugs
-the nominal moments directly into both the controller and the estimator.
+solve, closed-form policy parameters, and the worst-case covariance program
+with its stationary filter, bundling everything needed to run online with no
+further solves. ``design_lqg`` builds the certainty-equivalent baseline that
+plugs the nominal moments directly into both the controller and the estimator.
 """
 
 from __future__ import annotations
@@ -144,9 +144,9 @@ def _stage(system, weights, lam):
 def design_wdrc(system, weights, nominal, lam, theta=None, seed=None):
     """Offline synthesis of the robust policy pair at penalty ``lam``.
 
-    Pipeline: steady-state Riccati solve, policy parameters, worst-case
-    covariance program, stationary filter (from the program's X_prior). Raises
-    AssumptionViolated or NoConvergence from whichever stage fails.
+    Pipeline: steady-state Riccati solve, policy parameters, and the worst-case
+    covariance program, whose certified stationary filter pair the bundle
+    carries. Raises AssumptionViolated or NoConvergence from the failing stage.
     """
     lam = _stage(system, weights, lam)
     if lam.error:
@@ -154,19 +154,14 @@ def design_wdrc(system, weights, nominal, lam, theta=None, seed=None):
     phi, P = lam.stage
     params = steady_state_policy_params(system, weights, nominal, lam, P)
     wc = worst_case_cov_steady(system, params.S, P, nominal.sigma_hat, lam)
-    X_prior, X_post = solve_filter_are(system, wc.sigma_star, start=wc.x_prior)
-    if np.abs(X_post - wc.x_cov).max() > 1e-6 * (1.0 + np.abs(X_post).max()):
-        raise NoConvergence("filter covariance mismatch between the covariance "
-                            "program and the stationary filter solve")
-
     steady = SteadyStateSolution(
         lam=float(lam), theta=None if theta is None else float(theta),
         P=P, S=params.S, r=params.r, K=params.K, L=params.L, H=params.H,
-        G=params.G, Phi=phi, Sigma_star=wc.sigma_star, X_prior=X_prior,
-        X_post=X_post, z=wc.objective, rho=0.0,
+        G=params.G, Phi=phi, Sigma_star=wc.sigma_star, X_prior=wc.x_prior,
+        X_post=wc.x_cov, z=wc.objective, rho=0.0,
     )
     steady = dataclasses.replace(steady, rho=evaluate_rho(steady, nominal))
-    gain = steady_gain(X_post, system, x_cov_prior=X_prior)
+    gain = steady_gain(wc.x_cov, system, x_cov_prior=wc.x_prior)
     provenance = {"input_sha256": _input_digest(system, weights, nominal, lam),
                   "seed": seed}
     return PolicyBundle(method="WDRC", system=system, weights=weights,

@@ -40,19 +40,24 @@ __all__ = [
 _SYM_TOL = 1e-9
 
 
+def _finite(a, name):
+    if not np.all(np.isfinite(a)):
+        raise ValueError("%s must have finite entries" % name)
+    return a
+
 def _as_matrix(value, name, shape=None):
     a = np.array(value, dtype=float)
     if a.ndim != 2:
         raise ValueError("%s must be a matrix, got shape %s" % (name, a.shape))
     if shape is not None and a.shape != shape:
         raise ValueError("%s must have shape %s, got %s" % (name, shape, a.shape))
-    return a
+    return _finite(a, name)
 
 def _as_vector(value, name, size=None):
     a = np.array(value, dtype=float).reshape(-1)
     if size is not None and a.size != size:
         raise ValueError("%s must have %d entries, got %d" % (name, size, a.size))
-    return a
+    return _finite(a, name)
 
 def _check_symmetric(a, name):
     scale = 1.0 + np.abs(a).max() if a.size else 1.0
@@ -225,7 +230,7 @@ class Empirical(DisturbanceModel):
         s = np.atleast_2d(np.array(self.samples, dtype=float))
         if s.shape[0] < 1 or s.size == 0:
             raise ValueError("Empirical needs at least one sample")
-        _lock(self, samples=s)
+        _lock(self, samples=_finite(s, "samples"))
 
     def moments(self):
         m = empirical_moments(self.samples)

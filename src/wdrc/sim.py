@@ -131,19 +131,21 @@ def _simulate(bundle, seeds, horizon, truth, x0_model=None, v_model=None,
         x0s.append(x0_model.sample(rng))
         ws.append(np.atleast_2d(truth.sample(rng, T)))
         vs.append(np.atleast_2d(v_model.sample(rng, T + 1)))
-    w, v = np.array(ws), np.array(vs)
+    x0, w, v = np.array(x0s), np.array(ws), np.array(vs)
+    if x0.shape[1:] != (n,):
+        raise ValueError("initial-state model dimension mismatch with the plant")
     if w.shape[1:] != (T, n) or v.shape[1:] != (T + 1, ny):
         raise ValueError("disturbance model dimension mismatch with the plant")
 
     At, Bt, Ct = system.A.T, system.B.T, system.C.T
     gain_t = bundle.estimator_gain.T
-    runs = len(x0s)
+    runs = len(x0)
     x = np.zeros((runs, T + 1, n))
     x_hat = np.zeros((runs, T + 1, n))
     u = np.zeros((runs, T, system.n_u))
     y = np.zeros((runs, T + 1, ny))
 
-    x[:, 0] = x0s
+    x[:, 0] = x0
     y[:, 0] = x[:, 0] @ Ct + v[:, 0]
     x_hat[:, 0] = system.m0 + (y[:, 0] - system.C @ system.m0) @ gain_t
     for t in range(T):
@@ -366,6 +368,8 @@ def mean_state_trajectory(bundle, x0_mean, horizon, estimate0=None):
     st = bundle.steady
     A, B, C = system.A, system.B, system.C
     T = int(horizon)
+    if T < 0:
+        raise ValueError("horizon must be >= 0")
     gain = bundle.estimator_gain
 
     x0_mean = np.asarray(x0_mean, dtype=float).reshape(-1)

@@ -193,6 +193,8 @@ class TestSolveFilterAre:
         assert "assumption 4" in str(exc.value)
 
     def test_converged_start_matches_cold_start(self):
+        # the covariance program's pair, converged from warm starts along the
+        # ascent, is the stationary filter at its maximizer: a cold solve agrees
         rng = np.random.default_rng(45)
         for _ in range(5):
             n = int(rng.integers(1, 4))
@@ -205,18 +207,20 @@ class TestSolveFilterAre:
             cold = solve_filter_are(system, res.sigma_star)
             stationary = A @ res.x_cov @ A.T + res.sigma_star
             assert np.abs(res.x_prior - stationary).max() <= 1e-10 * np.abs(stationary).max()
-            for start in (res.x_prior, cold[0]):
-                warm = solve_filter_are(system, res.sigma_star, start=start)
-                for a, b in zip(warm, cold):
-                    assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+            for a, b in zip((res.x_prior, res.x_cov), cold):
+                assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
 
     @pytest.mark.parametrize("a, c, sigma", [(2.0, 0.0, 1.0), (2.0, 1.0, 0.0)])
     def test_start_keeps_regularity_checks(self, a, c, sigma):
-        # undetectable (c = 0) or non-stabilizable (sigma = 0) at an unstable a
+        # undetectable (c = 0) or non-stabilizable (sigma = 0) at an unstable a:
+        # the cold solve and the covariance program's own pair both refuse it
+        # (with a zero nominal the program's maximizer is sigma_star = 0)
         system = scalar_system(a=a, c=c)
-        for start in (np.zeros((1, 1)), np.eye(1), np.array([[1e3]])):
-            with pytest.raises(AssumptionViolated, match="assumption 4"):
-                solve_filter_are(system, np.array([[sigma]]), start=start)
+        with pytest.raises(AssumptionViolated, match="assumption 4"):
+            solve_filter_are(system, np.array([[sigma]]))
+        with pytest.raises(AssumptionViolated, match="assumption 4"):
+            worst_case_cov_steady(system, np.zeros((1, 1)), np.eye(1),
+                                  np.array([[sigma]]), 10.0)
 
     def test_update_never_increases_covariance(self):
         rng = np.random.default_rng(44)

@@ -109,6 +109,16 @@ class TestDesignCommand:
         ("thetas", {"thetas": "abc"}),
         ("sample_sizes", {"sample_sizes": ["x"]}),
         ("thetas", {"thetas": [0.1, -0.1]}),
+        ("system", {"system": dict(SCALAR_CONFIG["system"], A=[[float("nan")]])}),
+        ("system", {"system": dict(SCALAR_CONFIG["system"], M=[[float("inf")]])}),
+        ("truth", {"truth": {"type": "gaussian", "mean": [float("nan")], "cov": [[1.0]]}}),
+        ("x0", {"x0": {"type": "gaussian", "mean": [float("nan")], "cov": [[1.0]]}}),
+        ("nominal", {"nominal": {"mean": [float("nan")], "cov": [[1.0]]}}),
+        ("truth", {"truth": {"type": "empirical", "samples": [[0.0], [float("nan")]]}}),
+        ("nominal", {"nominal": [1, 2]}),
+        ("system", {"system": [1, 2]}),
+        ("weights", {"weights": [1]}),
+        ("system.power_grid", {"system": {"power_grid": [1]}}),
     ])
     def test_malformed_field_exit_code(self, tmp_path, capsys, field, updates):
         cfg = write_config(tmp_path, dict(updates, out_dir=str(tmp_path / "o")))

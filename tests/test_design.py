@@ -15,7 +15,9 @@ from wdrc import (
     evaluate_rho,
     guaranteed_bound,
     radius_from_samples,
+    solve_filter_are,
     tune_lambda,
+    worst_case_cov_steady,
 )
 from wdrc.serialize import bundle_to_dict, dumps_json
 
@@ -67,6 +69,24 @@ class TestDesignWdrc:
         with pytest.raises(AssumptionViolated, match="assumption 4"):
             design_wdrc(system, scalar_weights(), scalar_nominal(), 10.0)
         assert time.perf_counter() - start < 1.0
+
+    def test_filter_pair_comes_from_covariance_program(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_filter_are(*args, **kwargs)
+
+        monkeypatch.setattr(wdrc.ambiguity, "solve_filter_are", counting)
+        monkeypatch.setattr(wdrc.design, "solve_filter_are", counting)
+        for case in (REF, ZERO_A):
+            b = design_wdrc(case["system"], case["weights"], case["nominal"], case["lam"])
+            st = b.steady
+            wc = worst_case_cov_steady(case["system"], st.S, st.P,
+                                       case["nominal"].sigma_hat, case["lam"])
+            assert np.array_equal(st.X_prior, wc.x_prior)
+            assert np.array_equal(st.X_post, wc.x_cov)
+        assert calls == []
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
     def test_non_finite_penalty_rejected(self, lam):

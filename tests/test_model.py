@@ -223,6 +223,17 @@ class TestJsonInterfaces:
         with pytest.raises(ValueError):
             distribution_from_json({"mean": [0.0]})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="A must have finite entries"):
+            wdrc.LinearSystem(A=[[bad]], B=[[1.0]], C=[[1.0]], M=[[1.0]], m0=[0.0], M0=[[1.0]])
+        with pytest.raises(ValueError, match="w_hat must have finite entries"):
+            wdrc.NominalMoments(w_hat=[bad], sigma_hat=[[1.0]])
+        with pytest.raises(ValueError, match="mean must have finite entries"):
+            Gaussian(mean=[bad], cov=[[1.0]])
+        with pytest.raises(ValueError, match="samples must have finite entries"):
+            Empirical(samples=[[0.0], [bad]])
+
     def test_immutability(self):
         system, _ = synthetic_power_grid()
         with pytest.raises(ValueError):

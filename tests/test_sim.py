@@ -95,6 +95,11 @@ class TestRunClosedLoop:
         with pytest.raises(ValueError):
             run_closed_loop(b, Gaussian([0.0, 0.0], np.eye(2)), 5, 0)
 
+    def test_initial_state_dimension_mismatch_rejected(self):
+        b = _ref_bundle()
+        with pytest.raises(ValueError, match="initial-state model dimension"):
+            run_closed_loop(b, Gaussian([0.0], [[1.0]]), 5, 0, x0_model=_zero(2))
+
 
 class TestMonteCarloSummary:
     def test_deterministic_given_seed(self):
@@ -188,6 +193,10 @@ class TestMeanStateTrajectory:
         ms = mean_state_trajectory(b, [1.0], 500)
         assert np.linalg.norm(ms.states[500]) < 1e-8
         assert ms.limit_error < 1e-8
+
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon"):
+            mean_state_trajectory(_ref_bundle(), [1.0], -1)
 
     def test_nonzero_mean_converges_to_closed_form(self):
         nominal = scalar_nominal(w=0.1)
