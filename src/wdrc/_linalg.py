@@ -1,10 +1,8 @@
 """Dense linear-algebra helpers shared by the solvers."""
 
-import warnings
-
 import numpy as np
 
-_COND_LIMIT = 1e12
+_COND_LIMIT = 1e12  # bound on cond(lam*I - P) certified by assumption 1, and on cond(R)
 
 
 def sym(a):
@@ -45,19 +43,6 @@ def psd_project(a):
     if w[0] >= 0.0:
         return a
     return sym((v * np.clip(w, 0.0, None)) @ v.T)
-
-
-def solve_checked(a, b, what="linear system"):
-    """np.linalg.solve with a condition-number warning above 1e12."""
-    a = np.asarray(a, dtype=float)
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        warnings.warn(
-            "%s: condition number %.2e exceeds %.0e" % (what, cond, _COND_LIMIT),
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return np.linalg.solve(a, b)
 
 
 def dlyap(g, w):

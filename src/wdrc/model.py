@@ -10,12 +10,13 @@ explicitly passed numpy Generator; there is no hidden global RNG state.
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
-from ._linalg import is_pd, is_psd, psd_sqrt, sym
+from ._linalg import _COND_LIMIT, is_pd, is_psd, psd_sqrt, sym
 
 __all__ = [
     "LinearSystem",
@@ -122,7 +123,9 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class CostWeights:
-    """Quadratic stage cost x'Qx + u'Ru with terminal weight Qf."""
+    """Quadratic stage cost x'Qx + u'Ru with terminal weight Qf. Construction
+    warns (RuntimeWarning) when cond(R) exceeds _COND_LIMIT: assumption 1 does
+    not condition R, and the solves on R have no check of their own."""
 
     Q: np.ndarray
     Qf: np.ndarray
@@ -138,6 +141,10 @@ class CostWeights:
             raise ValueError("Qf must be positive semidefinite")
         if not is_pd(R):
             raise ValueError("R must be positive definite")
+        cond = np.linalg.cond(R)
+        if cond > _COND_LIMIT:
+            warnings.warn("R: condition number %.2e exceeds %.0e" % (cond, _COND_LIMIT),
+                          RuntimeWarning, stacklevel=3)
         _lock(self, Q=Q, Qf=Qf, R=R)
 
     def replace(self, **changes):

@@ -17,13 +17,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._linalg import (
+    _COND_LIMIT,
     is_psd,
     max_eigval,
     psd_project,
     psd_sqrt,
     is_observable,
     is_stabilizable,
-    solve_checked,
     spectral_radius,
     sym,
 )
@@ -126,7 +126,7 @@ def compute_phi(system, weights, lam):
     if not 0 < lam < np.inf:
         raise ValueError("lam must be positive and finite")
     B = system.B
-    phi = sym(B @ solve_checked(weights.R, B.T, what="R") - np.eye(system.n_x) / lam)
+    phi = sym(B @ np.linalg.solve(weights.R, B.T) - np.eye(system.n_x) / lam)
     return PhiResult(phi, is_psd(phi))
 
 
@@ -142,10 +142,10 @@ def _riccati_step(A, Q, phi, lam, P, where):
 def _gains(A, B, R, lam, w_hat, P, r, inv1_PA, inv1_rw):
     """Controller gain and bias (K, L) and adversary mean parameters (H, G)
     from P, r, (I + P Phi)^-1 P A and (I + P Phi)^-1 (r + P w_hat)."""
-    K = -solve_checked(R, B.T @ inv1_PA, what="R")
+    K = -np.linalg.solve(R, B.T @ inv1_PA)
     L = -np.linalg.solve(R, B.T @ inv1_rw)
     lamP = lam * np.eye(P.shape[0]) - P
-    H = solve_checked(lamP, P @ (A + B @ K), what="lam*I - P")
+    H = np.linalg.solve(lamP, P @ (A + B @ K))
     G = np.linalg.solve(lamP, P @ (B @ L) + r + lam * w_hat)
     return K, L, H, G
 
@@ -225,19 +225,16 @@ def solve_are(system, weights, lam):
 
     Solved by fixed-point iteration from Q, which converges whenever the
     regularity conditions hold, to a Frobenius change below 1e-12 within
-    1e5 sweeps (NoConvergence otherwise). Checks performed: (A, Q^1/2)
-    observable and (A, proj_psd(Phi)^1/2) stabilizable up front (PBH rank
-    tests); lam*I - P positive definite at every sweep, so an inadmissible
-    lam fails fast; after convergence, residual below 1e-9 and A'(I + P Phi)^-1
-    strictly stable. Phi >= 0 is not required: any system with fewer inputs
-    than states has Phi indefinite by exactly 1/lam.
+    1e5 sweeps (NoConvergence otherwise). Checks performed: assumption 1
+    (_require_dominance) on the first iterate Q, before the PBH rank tests of
+    (A, Q^1/2) observable and (A, proj_psd(Phi)^1/2) stabilizable, and again
+    at every sweep, so an inadmissible lam fails fast; after convergence,
+    residual below 1e-9 and A'(I + P Phi)^-1 strictly stable. Phi >= 0 is not
+    required: any system with fewer inputs than states has Phi indefinite by
+    exactly 1/lam.
     """
     A, Q = system.A, weights.Q
-    if lam <= max_eigval(Q):
-        raise AssumptionViolated(
-            "1 (penalty dominance)",
-            "lam=%.6g does not exceed max eig Q=%.6g, and P_ss >= Q" % (lam, max_eigval(Q)),
-        )
+    _require_dominance(lam, Q, "at the first iterate")
     phi = compute_phi(system, weights, lam).matrix
     if not is_stabilizable(A, psd_sqrt(psd_project(phi))):
         raise AssumptionViolated("3 (control regularity)", "(A, Phi^1/2) is not stabilizable")
@@ -273,7 +270,7 @@ def steady_state_policy_params(system, weights, nominal, lam, P_ss):
 
     T1 = eye + P_ss @ phi
     S = sym(weights.Q + A.T @ P_ss @ A - P_ss)
-    W = solve_checked(T1.T, A, what="I + P Phi").T  # A'(I + P Phi)^-1
+    W = np.linalg.solve(T1.T, A).T  # A'(I + P Phi)^-1
     try:
         r = np.linalg.solve(eye - W, W @ (P_ss @ w_hat))
     except np.linalg.LinAlgError:
@@ -287,7 +284,8 @@ def steady_state_policy_params(system, weights, nominal, lam, P_ss):
 
 
 def check_lambda(lam, P, margin=0.0):
-    """Penalty admissibility report: passes iff lam >= (1+margin) * max eig P."""
+    """Penalty admissibility report: passes iff lam > 0 and assumption 1's gap
+    holds with the margin, (1 - 1/_COND_LIMIT) lam > (1 + margin) max eig P."""
     lam_max = max_eigval(P)
-    passed = bool(lam > 0 and lam >= (1.0 + margin) * lam_max)
+    passed = bool(lam > 0 and (1.0 - 1.0 / _COND_LIMIT) * lam > (1.0 + margin) * lam_max)
     return LambdaCheck(passed=passed, gap=float(lam - lam_max), lam_max=lam_max)

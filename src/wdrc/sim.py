@@ -18,7 +18,7 @@ from ._linalg import spectral_radius, sym
 from .ambiguity import bures_squared
 from .design import _stage, _tune, default_lambda_grid
 from .exceptions import AssumptionViolated, NoAdmissibleLambda, NoConvergence
-from .model import Gaussian, empirical_moments
+from .model import Gaussian, _as_vector, empirical_moments
 
 __all__ = [
     "SimulationTrace",
@@ -360,7 +360,8 @@ def mean_state_trajectory(bundle, x0_mean, horizon, estimate0=None):
     ``x0_mean``; the initial estimate mean defaults to the filter update of
     m0 against the expected first measurement. Returns the trajectory, the
     closed-form limit, and the terminal distances to the limit and between
-    state and estimate means.
+    state and estimate means. Raises ValueError unless ``x0_mean`` and
+    ``estimate0`` have n_x finite entries.
     """
     if bundle.method != "WDRC":
         raise ValueError("mean-state diagnostics apply to WDRC bundles")
@@ -372,14 +373,14 @@ def mean_state_trajectory(bundle, x0_mean, horizon, estimate0=None):
         raise ValueError("horizon must be >= 0")
     gain = bundle.estimator_gain
 
-    x0_mean = np.asarray(x0_mean, dtype=float).reshape(-1)
+    x0_mean = _as_vector(x0_mean, "x0_mean", system.n_x)
     states = np.zeros((T + 1, system.n_x))
     estimates = np.zeros((T + 1, system.n_x))
     states[0] = x0_mean
     if estimate0 is None:
         estimates[0] = system.m0 + gain @ (C @ x0_mean - C @ system.m0)
     else:
-        estimates[0] = np.asarray(estimate0, dtype=float).reshape(-1)
+        estimates[0] = _as_vector(estimate0, "estimate0", system.n_x)
 
     feed = B @ st.L + st.G
     for t in range(T):

@@ -2,6 +2,7 @@
 and independent oracle implementations used by the tests."""
 
 import numpy as np
+import scipy.linalg
 
 import wdrc
 from wdrc._linalg import max_eigval, psd_sqrt, sym
@@ -175,3 +176,31 @@ def penalized_average_cost_loop(bundle, horizon, runs, base_seed, x0_model=None)
             x_hat = x_pred + gain @ (y - C @ x_pred)
         values[i] = acc / T
     return float(values.mean())
+
+
+def exact_rho(bundle):
+    """Stationary penalized average cost of a WDRC bundle under its worst-case
+    pair, in closed form: the state and estimate z = (x, x_hat) follow the
+    linear Gaussian recursion z' = F z + c + E_w w + E_v v, w ~ N(0, Sigma*),
+    v ~ N(0, M), whose stationary moments are (I - F)^-1 c and the solution of
+    a discrete Lyapunov equation (scipy's, independent of ``wdrc._linalg``).
+    """
+    system, weights, st = bundle.system, bundle.weights, bundle.steady
+    A, B, C = system.A, system.B, system.C
+    n = system.n_x
+    gain = bundle.estimator_gain
+    BK_H, feed = B @ st.K + st.H, B @ st.L + st.G
+    F = np.block([[A, BK_H], [gain @ C @ A, (np.eye(n) - gain @ C) @ (A + BK_H) + gain @ C @ BK_H]])
+    c = np.concatenate([feed, feed])
+    E_w, E_v = np.vstack([np.eye(n), gain @ C]), np.vstack([np.zeros((n, system.n_y)), gain])
+    mean = np.linalg.solve(np.eye(2 * n) - F, c)
+    cov = scipy.linalg.solve_discrete_lyapunov(F, E_w @ st.Sigma_star @ E_w.T + E_v @ system.M @ E_v.T)
+    mx, mh, cxx, chh = mean[:n], mean[n:], cov[:n, :n], cov[n:, n:]
+    u_mean, w_off = st.K @ mh + st.L, st.H @ mh + st.G - bundle.nominal.w_hat
+
+    def quad(W, m, S):  # E[y'Wy] for y with mean m and covariance S
+        return float(m @ W @ m + np.sum(W * S))
+
+    cost = quad(weights.Q, mx, cxx) + quad(weights.R, u_mean, st.K @ chh @ st.K.T)
+    penalty = quad(np.eye(n), w_off, st.H @ chh @ st.H.T)
+    return cost - st.lam * (penalty + bures_squared(st.Sigma_star, bundle.nominal.sigma_hat))

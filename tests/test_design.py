@@ -26,6 +26,8 @@ from helpers import (
     ZERO_A,
     admissible_lambda,
     dare_fixed_point,
+    exact_rho,
+    random_admissible,
     random_system,
     scalar_nominal,
     scalar_system,
@@ -56,6 +58,20 @@ class TestDesignWdrc:
         with pytest.raises(AssumptionViolated) as exc:
             design_wdrc(REF["system"], REF["weights"], REF["nominal"], 0.1)
         assert "assumption 1" in str(exc.value)
+
+    def test_floor_penalty_raises_fast(self):
+        # lam = 2 is REF's floor (P_ss = lam); the fixed point stops a hair below it
+        start = time.perf_counter()
+        with pytest.raises(AssumptionViolated, match="assumption 1"):
+            design_wdrc(REF["system"], REF["weights"], REF["nominal"], 2.0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_just_above_floor_certifies(self):
+        b = design_wdrc(REF["system"], REF["weights"], REF["nominal"], 2.0 * (1.0 + 1e-6))
+        rho = b.steady.rho
+        for x in (-1.0, 0.0, 0.5):
+            assert bellman_residual(b, REF["nominal"], [x]) <= 1e-6 * (1.0 + abs(rho))
+        assert abs(exact_rho(b) - rho) <= 1e-6 * abs(rho)
 
     def test_deterministic_serialization(self):
         a = design_wdrc(REF["system"], REF["weights"], REF["nominal"], REF["lam"])
@@ -192,9 +208,12 @@ class TestTuneLambda:
                                        REF["nominal"], theta, grid=grid)
         bounds = {}
         for lam in grid:
-            b = design_wdrc(REF["system"], REF["weights"], REF["nominal"], lam)
+            try:
+                b = design_wdrc(REF["system"], REF["weights"], REF["nominal"], lam)
+            except AssumptionViolated:  # rejected, as the tuner rejects it
+                continue
             bounds[lam] = theta ** 2 * lam + b.steady.rho
-        best = min(grid, key=lambda l: bounds[l])
+        best = min(bounds, key=lambda l: bounds[l])
         assert lam_star == best
         assert abs(report.bound - bounds[best]) < 1e-9
 
@@ -317,3 +336,33 @@ class TestBellmanCertificate:
         b = design_wdrc(REF["system"], REF["weights"], REF["nominal"], REF["lam"])
         gap = bellman_suboptimality_gap(b, REF["nominal"], [0.7], 0.1)
         assert gap > 1e-6
+
+
+class TestExactRho:
+    """steady.rho against the closed-form stationary cost of tests/helpers.py."""
+
+    @staticmethod
+    def _rel(bundle):
+        return abs(exact_rho(bundle) - bundle.steady.rho) / abs(bundle.steady.rho)
+
+    @pytest.mark.parametrize("lam", [10.0, 1e4, 1e6])
+    def test_scalar_reference(self, lam):
+        b = design_wdrc(REF["system"], REF["weights"], scalar_nominal(w=0.3, s=2.0), lam)
+        assert self._rel(b) <= 1e-9
+
+    def test_small_out_of_sample_plant(self):
+        # the 2-state plant and truth of acceptance criterion 11, 20-sample nominals
+        system = wdrc.LinearSystem(A=[[0.85, 0.2], [0.0, 0.7]], B=np.eye(2), C=np.eye(2),
+                                   M=0.2 * np.eye(2), m0=np.zeros(2), M0=0.05 * np.eye(2))
+        weights = wdrc.CostWeights(Q=np.eye(2), Qf=np.eye(2), R=np.eye(2))
+        truth = wdrc.Gaussian(mean=[0.05, -0.02], cov=[[0.3, 0.1], [0.1, 0.2]])
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            nominal = wdrc.empirical_moments(truth.sample(rng, 20))
+            for lam in np.geomspace(4.0, 1e4, 8):
+                assert self._rel(design_wdrc(system, weights, nominal, lam)) <= 1e-9
+
+    def test_random_plants(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            assert self._rel(random_admissible(rng, 3)[-1]) <= 1e-9

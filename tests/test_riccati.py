@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,16 @@ class TestComputePhi:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             compute_phi(scalar_system(), scalar_weights(), 0.0)
+
+    def test_ill_conditioned_r_warns_at_construction_only(self):
+        with pytest.warns(RuntimeWarning, match="R: condition number") as record:
+            weights = wdrc.CostWeights(Q=np.eye(2), Qf=np.eye(2), R=np.diag([1.0, 1e-13]))
+        assert len(record) == 1
+        system = wdrc.LinearSystem(A=0.5 * np.eye(2), B=np.eye(2), C=np.eye(2), M=np.eye(2),
+                                   m0=np.zeros(2), M0=np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compute_phi(system, weights, 10.0)
 
 
 class TestBackwardPass:
@@ -99,6 +110,13 @@ class TestSolveAre:
         with pytest.raises(AssumptionViolated) as exc:
             solve_are(REF["system"], REF["weights"], 1.0)
         assert "assumption 1" in str(exc.value)
+
+    def test_floor_penalty_raises_fast(self):
+        # P^2 - P - 2 = 0 puts P_ss exactly at lam = 2: no certified gap
+        start = time.perf_counter()
+        with pytest.raises(AssumptionViolated, match="assumption 1"):
+            solve_are(REF["system"], REF["weights"], 2.0)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("lam", [118.19994783551499, 236.98652213825636])
     def test_inadmissible_grid_penalty_fails_fast(self, lam):
@@ -204,8 +222,10 @@ class TestCheckLambda:
 
     def test_boundary_fails_with_margin(self):
         P = np.diag([2.0, 1.0])
-        assert check_lambda(2.0, P, margin=0.0).passed
-        assert not check_lambda(2.0, P, margin=1e-6).passed
+        assert not check_lambda(2.0, P, margin=0.0).passed  # no certified gap at the floor
+        lam = 2.0 * (1.0 + 1e-9)
+        assert check_lambda(lam, P, margin=0.0).passed
+        assert not check_lambda(lam, P, margin=1e-6).passed
 
     def test_zero_matrix(self):
         assert check_lambda(1e-6, np.zeros((3, 3))).passed

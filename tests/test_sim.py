@@ -198,6 +198,13 @@ class TestMeanStateTrajectory:
         with pytest.raises(ValueError, match="horizon"):
             mean_state_trajectory(_ref_bundle(), [1.0], -1)
 
+    @pytest.mark.parametrize("arg", ["x0_mean", "estimate0"])
+    def test_wrong_size_start_rejected(self, arg):
+        args = {"x0_mean": [1.0], "estimate0": [0.0]}
+        args[arg] = [1.0, 2.0]
+        with pytest.raises(ValueError, match=arg):
+            mean_state_trajectory(_ref_bundle(), args["x0_mean"], 10, estimate0=args["estimate0"])
+
     def test_nonzero_mean_converges_to_closed_form(self):
         nominal = scalar_nominal(w=0.1)
         b = design_wdrc(REF["system"], REF["weights"], nominal, REF["lam"])
