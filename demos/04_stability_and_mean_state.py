@@ -1,7 +1,7 @@
 """Mean-state behavior of the robust closed loop.
 
 Shows the three stability margins, the convergence of the deterministic
-mean-state recursion to its closed-form limit (zero for a zero-mean
+mean-state recursion to its fixed point (zero for a zero-mean
 nominal), and the geometric decay of an initial estimation offset.
 """
 

@@ -87,20 +87,6 @@ class PolicyBundle:
     estimator_gain: np.ndarray
     provenance: dict
 
-    def control(self, x_bar):
-        """u = K x_bar + L for the bundle's method; ``x_bar`` may stack
-        beliefs along leading axes."""
-        if self.method == "WDRC":
-            return x_bar @ self.steady.K.T + self.steady.L
-        return x_bar @ self.lqg.K.T + self.lqg.L
-
-    def disturbance_mean(self, x_bar):
-        """Disturbance mean fed to the estimator's prediction step; the
-        adversarial mean H x_bar + G for WDRC, the nominal mean for LQG."""
-        if self.method == "WDRC":
-            return x_bar @ self.steady.H.T + self.steady.G
-        return self.nominal.w_hat
-
 
 def _input_digest(system, weights, nominal, lam):
     h = hashlib.sha256()

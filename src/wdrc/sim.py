@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import spectral_radius, sym
+from ._linalg import spectral_radius
 from .ambiguity import bures_squared
 from .design import _stage, _tune, default_lambda_grid
 from .exceptions import AssumptionViolated, NoAdmissibleLambda, NoConvergence
@@ -105,6 +105,16 @@ def _quadratic(x, W):
     return np.sum((x @ W) * x, axis=-1)
 
 
+def _closed_loop(bundle):
+    """(K, L, H, G) of the bundle's online loop: the control u = K x_bar + L
+    and the disturbance mean H x_bar + G that the estimator's prediction adds.
+    LQG predicts with the nominal mean alone, so its H is None and G = w_hat."""
+    if bundle.method == "WDRC":
+        st = bundle.steady
+        return st.K, st.L, st.H, st.G
+    return bundle.lqg.K, bundle.lqg.L, None, bundle.nominal.w_hat
+
+
 def _simulate(bundle, seeds, horizon, truth, x0_model=None, v_model=None,
               worst_case=False):
     """Step one run per seed at once under the bundle's policy.
@@ -137,7 +147,8 @@ def _simulate(bundle, seeds, horizon, truth, x0_model=None, v_model=None,
     if w.shape[1:] != (T, n) or v.shape[1:] != (T + 1, ny):
         raise ValueError("disturbance model dimension mismatch with the plant")
 
-    At, Bt, Ct = system.A.T, system.B.T, system.C.T
+    K, L, H, G = _closed_loop(bundle)
+    At, Bt, Ct, Kt = system.A.T, system.B.T, system.C.T, K.T
     gain_t = bundle.estimator_gain.T
     runs = len(x0)
     x = np.zeros((runs, T + 1, n))
@@ -149,8 +160,8 @@ def _simulate(bundle, seeds, horizon, truth, x0_model=None, v_model=None,
     y[:, 0] = x[:, 0] @ Ct + v[:, 0]
     x_hat[:, 0] = system.m0 + (y[:, 0] - system.C @ system.m0) @ gain_t
     for t in range(T):
-        u[:, t] = bundle.control(x_hat[:, t])
-        w_bar = bundle.disturbance_mean(x_hat[:, t])
+        u[:, t] = x_hat[:, t] @ Kt + L
+        w_bar = G if H is None else x_hat[:, t] @ H.T + G
         bu = u[:, t] @ Bt
         x[:, t + 1] = x[:, t] @ At + bu + w[:, t]
         if worst_case:
@@ -164,10 +175,10 @@ def _simulate(bundle, seeds, horizon, truth, x0_model=None, v_model=None,
     if not (np.all(np.isfinite(stage)) and np.all(np.isfinite(terminal))):
         raise ValueError("trace costs must be finite")
     penalized = stage
-    if bundle.method == "WDRC":
+    if H is not None:
         lam, w_hat = bundle.steady.lam, bundle.nominal.w_hat
         pen_cov = bures_squared(bundle.steady.Sigma_star, bundle.nominal.sigma_hat)
-        w_bar = bundle.disturbance_mean(x_hat[:, :T])
+        w_bar = x_hat[:, :T] @ H.T + G
         penalized = stage - lam * (np.sum((w_bar - w_hat) ** 2, axis=-1) + pen_cov)
     return x, x_hat, u, y, stage, penalized, terminal
 
@@ -305,7 +316,15 @@ def write_trace_csv(path, trace):
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Spectral radii of the three closed loops plus the mean-state limit."""
+    """Spectral radii of the three closed loops of a WDRC bundle, plus the
+    fixed point of its mean-state recursion.
+
+    ``rho_closed_loop`` is the radius of A + B K (the plant under the control
+    law), ``rho_penalized_loop`` that of A + B K + H (the mean state under the
+    worst-case pair, equal to (I + Phi P)^-1 A), and ``rho_filter_loop`` that
+    of (I - Gamma C) A (the estimation error under the steady gain Gamma).
+    ``mean_state_limit`` is (I - A - B K - H)^-1 (B L + G).
+    """
 
     rho_closed_loop: float
     rho_penalized_loop: float
@@ -313,35 +332,28 @@ class StabilityReport:
     mean_state_limit: np.ndarray
 
 
-def _mean_limit(system, steady, w_hat):
-    """Closed form of the mean-state limit under the stationary policy pair."""
-    A = system.A
-    n = system.n_x
-    eye = np.eye(n)
-    P, phi = steady.P, steady.Phi
-    lhs = eye - np.linalg.solve(eye + phi @ P, A)
-    rhs = (eye - phi @ np.linalg.solve(eye + P @ phi - A.T, P)) @ w_hat
-    return np.linalg.solve(lhs, rhs)
+def _mean_loop(bundle):
+    """(K, B K + H, B L + G, limit) of a WDRC bundle: its control gain, the
+    estimate's coupling and the input of the mean-state recursion, and that
+    recursion's fixed point. Raises ValueError for an LQG bundle."""
+    K, L, H, G = _closed_loop(bundle)
+    if H is None:
+        raise ValueError("stability and mean-state diagnostics apply to WDRC bundles")
+    A, B = bundle.system.A, bundle.system.B
+    coupled, feed = B @ K + H, B @ L + G
+    return K, coupled, feed, np.linalg.solve(np.eye(len(A)) - A - coupled, feed)
 
 
 def stability_report(bundle):
-    """Closed-loop spectral radii and the mean-state fixed point (WDRC only)."""
-    if bundle.method != "WDRC":
-        raise ValueError("stability diagnostics apply to WDRC bundles")
-    system = bundle.system
-    st = bundle.steady
-    A, B, C, M = system.A, system.B, system.C, system.M
-    eye = np.eye(system.n_x)
-
-    rho_cl = spectral_radius(A + B @ st.K)
-    penalized_map = np.linalg.solve((eye + st.P @ st.Phi).T, A).T  # A'(I+P Phi)^-1
-    rho_pen = spectral_radius(penalized_map)
-    innov = sym(C @ st.X_prior @ C.T + M)
-    gain_prior = np.linalg.solve(innov, C @ st.X_prior).T
-    rho_filt = spectral_radius(A - gain_prior @ (C @ A))
-    limit = _mean_limit(system, st, bundle.nominal.w_hat)
-    return StabilityReport(rho_closed_loop=rho_cl, rho_penalized_loop=rho_pen,
-                           rho_filter_loop=rho_filt, mean_state_limit=limit)
+    """Spectral radii of the control, worst-case and filter loops and the
+    mean-state fixed point (WDRC only; see ``StabilityReport``)."""
+    K, coupled, _, limit = _mean_loop(bundle)
+    A, B, C = bundle.system.A, bundle.system.B, bundle.system.C
+    filter_loop = (np.eye(len(A)) - bundle.estimator_gain @ C) @ A
+    return StabilityReport(rho_closed_loop=spectral_radius(A + B @ K),
+                           rho_penalized_loop=spectral_radius(A + coupled),
+                           rho_filter_loop=spectral_radius(filter_loop),
+                           mean_state_limit=limit)
 
 
 @dataclass(frozen=True)
@@ -354,20 +366,20 @@ class MeanStateResult:
 
 
 def mean_state_trajectory(bundle, x0_mean, horizon, estimate0=None):
-    """Deterministic mean-state recursion under the worst-case policy pair.
+    """Deterministic mean-state recursion under the worst-case pair (WDRC only).
 
-    Iterates the expected closed loop (plant mean, estimate mean) from
-    ``x0_mean``; the initial estimate mean defaults to the filter update of
-    m0 against the expected first measurement. Returns the trajectory, the
-    closed-form limit, and the terminal distances to the limit and between
-    state and estimate means. Raises ValueError unless ``x0_mean`` and
-    ``estimate0`` have n_x finite entries.
+    Iterates the expected plant state s and estimate e from ``x0_mean``:
+    s' = A s + (B K + H) e + (B L + G), and e' is the steady filter update of
+    the same prediction from e against the expected measurement C s'. The
+    initial estimate mean defaults to the filter update of m0 against the
+    expected first measurement. Returns the trajectory, the recursion's fixed
+    point (I - A - B K - H)^-1 (B L + G), and the terminal distances to it
+    and between state and estimate means. Raises ValueError unless
+    ``x0_mean`` and ``estimate0`` have n_x finite entries.
     """
-    if bundle.method != "WDRC":
-        raise ValueError("mean-state diagnostics apply to WDRC bundles")
+    _, coupled, feed, limit = _mean_loop(bundle)
     system = bundle.system
-    st = bundle.steady
-    A, B, C = system.A, system.B, system.C
+    A, C = system.A, system.C
     T = int(horizon)
     if T < 0:
         raise ValueError("horizon must be >= 0")
@@ -382,14 +394,12 @@ def mean_state_trajectory(bundle, x0_mean, horizon, estimate0=None):
     else:
         estimates[0] = _as_vector(estimate0, "estimate0", system.n_x)
 
-    feed = B @ st.L + st.G
     for t in range(T):
-        coupled = (B @ st.K + st.H) @ estimates[t]
-        states[t + 1] = A @ states[t] + coupled + feed
-        pred = A @ estimates[t] + coupled + feed
+        drive = coupled @ estimates[t]
+        states[t + 1] = A @ states[t] + drive + feed
+        pred = A @ estimates[t] + drive + feed
         estimates[t + 1] = pred + gain @ (C @ states[t + 1] - C @ pred)
 
-    limit = _mean_limit(system, st, bundle.nominal.w_hat)
     return MeanStateResult(
         states=states,
         estimates=estimates,

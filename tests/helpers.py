@@ -178,6 +178,38 @@ def penalized_average_cost_loop(bundle, horizon, runs, base_seed, x0_model=None)
     return float(values.mean())
 
 
+def _policy(bundle):
+    """(K, L, H, G) of a bundle's online loop, read without ``wdrc.sim``: the
+    control K x_hat + L and the mean H x_hat + G the estimator predicts with
+    (the nominal mean alone for LQG)."""
+    if bundle.method == "WDRC":
+        st = bundle.steady
+        return st.K, st.L, st.H, st.G
+    n = bundle.system.n_x
+    return bundle.lqg.K, bundle.lqg.L, np.zeros((n, n)), bundle.nominal.w_hat
+
+
+def _augmented(bundle, H_p, G_p):
+    """(F, c, E_w, E_v) of z = (x, x_hat) under the bundle's policy, with the
+    plant driven by the mean H_p x_hat + G_p plus a zero-mean disturbance w:
+    z' = F z + c + E_w w + E_v v, v the measurement noise."""
+    system = bundle.system
+    A, B, C, n = system.A, system.B, system.C, system.n_x
+    K, L, H, G = _policy(bundle)
+    gain = bundle.estimator_gain
+    drive, feed = B @ K + H_p, B @ L + G_p
+    keep = np.eye(n) - gain @ C
+    F = np.block([[A, drive], [gain @ C @ A, keep @ (A + B @ K + H) + gain @ C @ drive]])
+    c = np.concatenate([feed, keep @ (B @ L + G) + gain @ C @ feed])
+    E_w, E_v = np.vstack([np.eye(n), gain @ C]), np.vstack([np.zeros((n, system.n_y)), gain])
+    return F, c, E_w, E_v
+
+
+def _quad(W, m, S):
+    """E[y'Wy] for y with mean m and covariance S."""
+    return float(m @ W @ m + np.sum(W * S))
+
+
 def exact_rho(bundle):
     """Stationary penalized average cost of a WDRC bundle under its worst-case
     pair, in closed form: the state and estimate z = (x, x_hat) follow the
@@ -186,21 +218,42 @@ def exact_rho(bundle):
     a discrete Lyapunov equation (scipy's, independent of ``wdrc._linalg``).
     """
     system, weights, st = bundle.system, bundle.weights, bundle.steady
-    A, B, C = system.A, system.B, system.C
     n = system.n_x
-    gain = bundle.estimator_gain
-    BK_H, feed = B @ st.K + st.H, B @ st.L + st.G
-    F = np.block([[A, BK_H], [gain @ C @ A, (np.eye(n) - gain @ C) @ (A + BK_H) + gain @ C @ BK_H]])
-    c = np.concatenate([feed, feed])
-    E_w, E_v = np.vstack([np.eye(n), gain @ C]), np.vstack([np.zeros((n, system.n_y)), gain])
+    F, c, E_w, E_v = _augmented(bundle, st.H, st.G)
     mean = np.linalg.solve(np.eye(2 * n) - F, c)
     cov = scipy.linalg.solve_discrete_lyapunov(F, E_w @ st.Sigma_star @ E_w.T + E_v @ system.M @ E_v.T)
     mx, mh, cxx, chh = mean[:n], mean[n:], cov[:n, :n], cov[n:, n:]
     u_mean, w_off = st.K @ mh + st.L, st.H @ mh + st.G - bundle.nominal.w_hat
-
-    def quad(W, m, S):  # E[y'Wy] for y with mean m and covariance S
-        return float(m @ W @ m + np.sum(W * S))
-
-    cost = quad(weights.Q, mx, cxx) + quad(weights.R, u_mean, st.K @ chh @ st.K.T)
-    penalty = quad(np.eye(n), w_off, st.H @ chh @ st.H.T)
+    cost = _quad(weights.Q, mx, cxx) + _quad(weights.R, u_mean, st.K @ chh @ st.K.T)
+    penalty = _quad(np.eye(n), w_off, st.H @ chh @ st.H.T)
     return cost - st.lam * (penalty + bures_squared(st.Sigma_star, bundle.nominal.sigma_hat))
+
+
+def exact_total_cost(bundle, mean, cov, T):
+    """Expected T-step total cost (stage costs plus the terminal Qf term) of
+    either method's bundle when the disturbances have this mean and
+    covariance, from the simulator's start: x0 ~ N(m0, M0) and x_hat0 the
+    filter update of m0 against y0 = C x0 + v0.
+
+    The plant is driven by the disturbance alone (mean ``mean``), so a linear
+    policy's cost depends on its first two moments only. Written in
+    stationary-plus-transient form, m_t = m_inf + F^t (m_0 - m_inf) and
+    S_t = S_inf + F^t (S_0 - S_inf) F^t', with S_inf from scipy's Lyapunov solver.
+    """
+    system, weights = bundle.system, bundle.weights
+    n = system.n_x
+    K, L, _, _ = _policy(bundle)
+    F, c, E_w, E_v = _augmented(bundle, np.zeros((n, n)), np.asarray(mean, dtype=float))
+    noise = E_v @ system.M @ E_v.T
+    m_inf = np.linalg.solve(np.eye(2 * n) - F, c)
+    S_inf = scipy.linalg.solve_discrete_lyapunov(F, E_w @ np.asarray(cov, dtype=float) @ E_w.T + noise)
+    m_0 = np.concatenate([system.m0, system.m0])
+    S_0 = E_w @ system.M0 @ E_w.T + noise  # x0 enters x_hat0 as it enters z through w
+    total, power = 0.0, np.eye(2 * n)
+    for t in range(T + 1):
+        m = m_inf + power @ (m_0 - m_inf)
+        S = S_inf + power @ (S_0 - S_inf) @ power.T
+        if t == T:
+            return total + _quad(weights.Qf, m[:n], S[:n, :n])
+        total += _quad(weights.Q, m[:n], S[:n, :n]) + _quad(weights.R, K @ m[n:] + L, K @ S[n:, n:] @ K.T)
+        power = F @ power

@@ -18,6 +18,7 @@ from wdrc.ambiguity import bures_squared
 from helpers import (
     REF,
     ZERO_A,
+    exact_total_cost,
     penalized_average_cost_loop,
     random_admissible,
     scalar_nominal,
@@ -34,6 +35,20 @@ def _ref_bundle():
     return design_wdrc(REF["system"], REF["weights"], REF["nominal"], REF["lam"])
 
 
+def _radius(matrix):
+    return float(np.abs(np.linalg.eigvals(matrix)).max())
+
+
+def _closed_form_limit(bundle):
+    """Mean-state limit in P and Phi: (I - (I + Phi P)^-1 A)^-1 times
+    (I - Phi (I + P Phi - A')^-1 P) w_hat."""
+    A, st = bundle.system.A, bundle.steady
+    eye = np.eye(bundle.system.n_x)
+    lhs = eye - np.linalg.solve(eye + st.Phi @ st.P, A)
+    rhs = (eye - st.Phi @ np.linalg.solve(eye + st.P @ st.Phi - A.T, st.P)) @ bundle.nominal.w_hat
+    return np.linalg.solve(lhs, rhs)
+
+
 class TestRunClosedLoop:
     def test_zero_weights_zero_cost(self):
         weights = wdrc.CostWeights(Q=[[0.0]], Qf=[[0.0]], R=[[1e-12]])
@@ -41,12 +56,18 @@ class TestRunClosedLoop:
         trace = run_closed_loop(b, Gaussian([0.3], [[0.2]]), 50, 0)
         assert trace.total_cost < 1e-12
 
-    def test_noise_free_trace_matches_mean_recursion(self):
+    @pytest.mark.parametrize("method", ["WDRC", "LQG"])
+    def test_noise_free_trace_matches_mean_recursion(self, method):
         # zero truth, zero measurement noise, deterministic x0: the trace must
         # reproduce the deterministic closed-loop recursion exactly (plant
-        # driven by nothing, filter still predicting with the adversarial mean)
-        b = _ref_bundle()
-        st = b.steady
+        # driven by nothing, filter still predicting with the method's mean:
+        # the adversarial H x_hat + G, or LQG's nonzero nominal w_hat)
+        if method == "WDRC":
+            b = _ref_bundle()
+            K, L, H, G = b.steady.K, b.steady.L, b.steady.H, b.steady.G
+        else:
+            b = design_lqg(REF["system"], REF["weights"], scalar_nominal(w=0.3))
+            K, L, H, G = b.lqg.K, b.lqg.L, np.zeros((1, 1)), b.nominal.w_hat
         system = b.system
         A, B, C = system.A, system.B, system.C
         gain = b.estimator_gain
@@ -60,8 +81,8 @@ class TestRunClosedLoop:
         for t in range(T):
             assert np.abs(trace.x[t] - x).max() < 1e-12
             assert np.abs(trace.x_hat[t] - x_hat).max() < 1e-12
-            u = st.K @ x_hat + st.L
-            w_bar = st.H @ x_hat + st.G
+            u = K @ x_hat + L
+            w_bar = H @ x_hat + G
             x = A @ x + B @ u
             pred = A @ x_hat + B @ u + w_bar
             x_hat = pred + gain @ (C @ x - C @ pred)
@@ -166,6 +187,42 @@ class TestPenalizedAverageCost:
             penalized_average_cost(b, 10, 2, 0)
 
 
+class TestExactTotalCost:
+    """monte_carlo_summary's mean total cost against tests/helpers.exact_total_cost."""
+
+    @staticmethod
+    def _cases(case):
+        if case in ("ref_gaussian", "ref_uniform"):
+            system, weights, nominal = REF["system"], REF["weights"], scalar_nominal(w=0.3, s=2.0)
+            robust = design_wdrc(system, weights, nominal, REF["lam"])
+            truth = (Gaussian([0.1], [[1.5]]) if case == "ref_gaussian"
+                     else wdrc.UniformBox([-1.0], [1.5]))
+            return robust, design_lqg(system, weights, nominal), truth, 50, 4000
+        if case == "random_4":
+            system, weights, nominal, _, robust = random_admissible(np.random.default_rng(11), 4)
+            truth = Gaussian(0.5 * nominal.w_hat, nominal.sigma_hat)
+            return robust, design_lqg(system, weights, nominal), truth, 60, 2000
+        system, weights = wdrc.synthetic_power_grid()
+        truth = Gaussian(np.zeros(20), 0.01 * np.eye(20))
+        nominal = wdrc.empirical_moments(truth.sample(np.random.default_rng(0), 5), jitter=1e-8)
+        robust = design_wdrc(system, weights, nominal, 5e4)
+        return robust, design_lqg(system, weights, nominal), truth, 100, 400
+
+    @pytest.mark.parametrize("case", ["ref_gaussian", "ref_uniform", "random_4", "grid"])
+    def test_monte_carlo_within_four_standard_errors(self, case):
+        *bundles, truth, T, runs = self._cases(case)
+        mean, cov = truth.moments()
+        for b in bundles:
+            exact = exact_total_cost(b, mean, cov, T)
+            s = monte_carlo_summary(b, truth, T, runs, 0)
+            assert abs(s.mean_total_cost - exact) <= 4.0 * s.std_total_cost / np.sqrt(runs)
+
+    def test_grid_lqg_value(self):
+        # the LQG baseline of acceptance criterion 9's Gaussian scenario
+        _, lqg, truth, T, _ = self._cases("grid")
+        assert abs(exact_total_cost(lqg, *truth.moments(), T) - 555.418191) < 1e-6
+
+
 class TestStabilityReport:
     def test_scalar_reference_radii(self):
         rep = stability_report(_ref_bundle())
@@ -185,6 +242,40 @@ class TestStabilityReport:
         assert rep.rho_closed_loop < 1.0
         assert rep.rho_penalized_loop < 1.0
         assert rep.rho_filter_loop < 1.0
+
+
+    @pytest.mark.parametrize("case", ["random", "grid"])
+    def test_matches_riccati_and_filter_forms(self, case):
+        # the radii and limit read from (K, L, H, G) and the gain against
+        # their forms in P, Phi and X_prior: A'(I + P Phi)^-1, A - K_p C A
+        # with the prior-form gain K_p, and the P/Phi closed-form limit
+        if case == "random":
+            rng = np.random.default_rng(808)
+            bundles = [random_admissible(rng, int(rng.integers(1, 4)))[-1] for _ in range(20)]
+        else:
+            system, weights = wdrc.synthetic_power_grid()
+            truth = Gaussian(np.zeros(20), 0.01 * np.eye(20))
+            nominal = wdrc.empirical_moments(truth.sample(np.random.default_rng(0), 5), jitter=1e-8)
+            bundles = [design_wdrc(system, weights, nominal, 5e4)]
+        for b in bundles:
+            rep = stability_report(b)
+            A, C, M, st = b.system.A, b.system.C, b.system.M, b.steady
+            eye = np.eye(b.system.n_x)
+            penalized = np.linalg.solve((eye + st.P @ st.Phi).T, A).T
+            prior_gain = np.linalg.solve(C @ st.X_prior @ C.T + M, C @ st.X_prior).T
+            assert abs(rep.rho_penalized_loop - _radius(penalized)) <= 1e-12
+            assert abs(rep.rho_filter_loop - _radius(A - prior_gain @ C @ A)) <= 1e-12
+            limit = _closed_form_limit(b)
+            assert np.abs(rep.mean_state_limit - limit).max() <= 1e-12 * (1 + np.abs(limit).max())
+
+    @pytest.mark.parametrize("diagnostic", ["stability_report", "mean_state_trajectory"])
+    def test_rejects_lqg_bundles(self, diagnostic):
+        b = design_lqg(REF["system"], REF["weights"], REF["nominal"])
+        with pytest.raises(ValueError, match="apply to WDRC bundles"):
+            if diagnostic == "stability_report":
+                stability_report(b)
+            else:
+                mean_state_trajectory(b, [1.0], 10)
 
 
 class TestMeanStateTrajectory:
