@@ -3,8 +3,8 @@
 Every run is a deterministic function of (bundle, truth, horizon, seed); a
 Monte Carlo summary derives one independent substream per run from the base
 seed, so results depend only on the seed, not on execution order or on how
-many runs are stepped together. Draw order inside a run is fixed: initial
-state, then all process disturbances, then all measurement noises.
+many runs or bundles are stepped together. Draw order inside a run is fixed:
+initial state, then all process disturbances, then all measurement noises.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ __all__ = [
     "write_trace_csv",
 ]
 
-# Runs stepped together by the Monte Carlo drivers; bounds the memory held by
-# stacked draws and trajectories. Results do not depend on it.
+# Runs stepped together by the Monte Carlo drivers, counted over all the
+# bundles of a block; bounds the memory held by stacked draws and
+# trajectories. Results do not depend on it.
 _BLOCK_RUNS = 32
 
 
@@ -115,19 +116,23 @@ def _closed_loop(bundle):
     return bundle.lqg.K, bundle.lqg.L, None, bundle.nominal.w_hat
 
 
-def _simulate(bundle, seeds, horizon, truth, x0_model=None, v_model=None,
+def _simulate(bundles, seeds, horizon, truth, x0_model=None, v_model=None,
               worst_case=False):
-    """Step one run per seed at once under the bundle's policy.
+    """Step every run of every bundle at once, each under its bundle's policy.
 
-    Each run draws from its own generator: initial state from ``x0_model``
-    (default N(m0, M0)), then ``horizon`` disturbances from ``truth``, then
-    ``horizon + 1`` measurement noises from ``v_model`` (default N(0, M)).
-    The estimator runs in steady mode with the bundle's gain, fed the
-    method's disturbance mean; with ``worst_case`` the plant is driven by
-    that mean as well. Returns (x, x_hat, u, y, stage, penalized, terminal),
-    each indexed by run first.
+    The bundles share one plant and one method; ``seeds`` holds one list of
+    run seeds per bundle, all of one length. Each run draws from its own
+    generator: initial state from ``x0_model`` (default N(m0, M0)), then
+    ``horizon`` disturbances from ``truth``, then ``horizon + 1`` measurement
+    noises from ``v_model`` (default N(0, M)). The estimator runs in steady
+    mode with the bundle's gain, fed the method's disturbance mean; with
+    ``worst_case`` the plant is driven by that mean as well. Returns (x,
+    x_hat, u, y, stage, penalized, terminal). The trajectories are stored
+    time-major, x[t] one contiguous (bundle, run, n) block, so the products
+    with the shared A, B and C are single gemms; the costs are indexed
+    (bundle, run, t) and the terminal cost (bundle, run).
     """
-    system, weights = bundle.system, bundle.weights
+    system, weights = bundles[0].system, bundles[0].weights
     n, ny = system.n_x, system.n_y
     T = int(horizon)
     if T < 1:
@@ -135,64 +140,86 @@ def _simulate(bundle, seeds, horizon, truth, x0_model=None, v_model=None,
     x0_model = x0_model or Gaussian(system.m0, system.M0)
     v_model = v_model or Gaussian(np.zeros(ny), system.M)
 
-    x0s, ws, vs = [], [], []
-    for seed in seeds:
-        rng = np.random.default_rng(_seed_sequence(seed))
-        x0s.append(x0_model.sample(rng))
-        ws.append(np.atleast_2d(truth.sample(rng, T)))
-        vs.append(np.atleast_2d(v_model.sample(rng, T + 1)))
-    x0, w, v = np.array(x0s), np.array(ws), np.array(vs)
-    if x0.shape[1:] != (n,):
-        raise ValueError("initial-state model dimension mismatch with the plant")
-    if w.shape[1:] != (T, n) or v.shape[1:] != (T + 1, ny):
-        raise ValueError("disturbance model dimension mismatch with the plant")
+    nb, runs = len(seeds), len(seeds[0])
+    x = np.zeros((T + 1, nb, runs, n))
+    x_hat = np.zeros((T + 1, nb, runs, n))
+    u = np.zeros((T, nb, runs, system.n_u))
+    y = np.zeros((T + 1, nb, runs, ny))
+    # x[t + 1] holds the disturbance w[t] and y[t] the noise v[t] until stepped
+    for b, run_seeds in enumerate(seeds):
+        for r, seed in enumerate(run_seeds):
+            rng = np.random.default_rng(_seed_sequence(seed))
+            _put(x[0, b, r], x0_model.sample(rng),
+                 "initial-state model dimension mismatch with the plant")
+            _put(x[1:, b, r], truth.sample(rng, T),
+                 "disturbance model dimension mismatch with the plant")
+            _put(y[:, b, r], v_model.sample(rng, T + 1),
+                 "disturbance model dimension mismatch with the plant")
 
-    K, L, H, G = _closed_loop(bundle)
-    At, Bt, Ct, Kt = system.A.T, system.B.T, system.C.T, K.T
-    gain_t = bundle.estimator_gain.T
-    runs = len(x0)
-    x = np.zeros((runs, T + 1, n))
-    x_hat = np.zeros((runs, T + 1, n))
-    u = np.zeros((runs, T, system.n_u))
-    y = np.zeros((runs, T + 1, ny))
+    K, L, H, G = (None if part[0] is None else np.stack(part)
+                  for part in zip(*map(_closed_loop, bundles)))
+    Kt, L, G = K.transpose(0, 2, 1), L[:, None], G[:, None]
+    Ht = None if H is None else H.transpose(0, 2, 1)
+    gain_t = np.stack([b.estimator_gain for b in bundles]).transpose(0, 2, 1)
+    At, Bt, Ct = system.A.T, system.B.T, system.C.T
+    # (time, bundle * run, dim) views of the same memory, for the shared products
+    xs, hs, us, ys = (a.reshape(len(a), nb * runs, a.shape[-1]) for a in (x, x_hat, u, y))
 
-    x[:, 0] = x0
-    y[:, 0] = x[:, 0] @ Ct + v[:, 0]
-    x_hat[:, 0] = system.m0 + (y[:, 0] - system.C @ system.m0) @ gain_t
+    ys[0] += xs[0] @ Ct
+    x_hat[0] = system.m0 + (y[0] - system.C @ system.m0) @ gain_t
     for t in range(T):
-        u[:, t] = x_hat[:, t] @ Kt + L
-        w_bar = G if H is None else x_hat[:, t] @ H.T + G
-        bu = u[:, t] @ Bt
-        x[:, t + 1] = x[:, t] @ At + bu + w[:, t]
+        u[t] = x_hat[t] @ Kt + L
+        w_bar = G if Ht is None else x_hat[t] @ Ht + G
+        bu = us[t] @ Bt
+        xs[t + 1] += xs[t] @ At + bu
         if worst_case:
-            x[:, t + 1] += w_bar
-        y[:, t + 1] = x[:, t + 1] @ Ct + v[:, t + 1]
-        x_pred = x_hat[:, t] @ At + bu + w_bar
-        x_hat[:, t + 1] = x_pred + (y[:, t + 1] - x_pred @ Ct) @ gain_t
+            x[t + 1] += w_bar
+        ys[t + 1] += xs[t + 1] @ Ct
+        x_pred = (hs[t] @ At + bu).reshape(nb, runs, n) + w_bar
+        x_hat[t + 1] = x_pred + (y[t + 1] - x_pred @ Ct) @ gain_t
 
-    stage = _quadratic(x[:, :T], weights.Q) + _quadratic(u, weights.R)
-    terminal = _quadratic(x[:, T], weights.Qf)
+    stage = _quadratic(x[:T], weights.Q) + _quadratic(u, weights.R)
+    terminal = _quadratic(x[T], weights.Qf)
     if not (np.all(np.isfinite(stage)) and np.all(np.isfinite(terminal))):
         raise ValueError("trace costs must be finite")
     penalized = stage
-    if H is not None:
-        lam, w_hat = bundle.steady.lam, bundle.nominal.w_hat
-        pen_cov = bures_squared(bundle.steady.Sigma_star, bundle.nominal.sigma_hat)
-        w_bar = x_hat[:, :T] @ H.T + G
+    if Ht is not None:
+        lam = np.array([[b.steady.lam] for b in bundles])
+        w_hat = np.stack([b.nominal.w_hat for b in bundles])[:, None]
+        pen_cov = np.array([[bures_squared(b.steady.Sigma_star, b.nominal.sigma_hat)]
+                            for b in bundles])
+        w_bar = x_hat[:T] @ Ht + G
         penalized = stage - lam * (np.sum((w_bar - w_hat) ** 2, axis=-1) + pen_cov)
+    # per-run costs contiguous in t, so each run's sums keep one summation order
+    stage, penalized = (np.ascontiguousarray(np.moveaxis(c, 0, -1))
+                        for c in (stage, penalized))
     return x, x_hat, u, y, stage, penalized, terminal
 
 
-def _run_costs(bundle, seeds, horizon, truth, **kwargs):
-    """(total cost, average cost, penalized average cost) of each run."""
-    totals, averages, penalized = [], [], []
-    for i in range(0, len(seeds), _BLOCK_RUNS):
-        *_, stage, pen, terminal = _simulate(bundle, seeds[i:i + _BLOCK_RUNS],
-                                             horizon, truth, **kwargs)
-        totals.append(stage.sum(axis=1) + terminal)
-        averages.append(stage.mean(axis=1))
-        penalized.append(pen.mean(axis=1))
-    return np.concatenate(totals), np.concatenate(averages), np.concatenate(penalized)
+def _put(target, draw, message):
+    """Copy one run's draw into its slot of a preallocated array."""
+    if np.shape(draw) != target.shape:
+        raise ValueError(message)
+    target[...] = draw
+
+
+def _run_costs(bundles, seeds, horizon, truth, **kwargs):
+    """(total cost, average cost, penalized average cost) of each run, each
+    indexed (bundle, run). A block holds whole bundles up to ``_BLOCK_RUNS``
+    runs; a bundle with more runs than that is split by runs."""
+    runs = len(seeds[0])
+    per_block, width = max(1, _BLOCK_RUNS // runs), min(runs, _BLOCK_RUNS)
+    totals, averages, penalized = (np.empty((len(bundles), runs)) for _ in range(3))
+    for i in range(0, len(bundles), per_block):
+        for j in range(0, runs, width):
+            stage, pen, terminal = _simulate(
+                bundles[i:i + per_block], [s[j:j + width] for s in seeds[i:i + per_block]],
+                horizon, truth, **kwargs)[4:]  # no block's trajectories outlive it
+            block = np.s_[i:i + per_block, j:j + width]
+            totals[block] = stage.sum(axis=-1) + terminal
+            averages[block] = stage.mean(axis=-1)
+            penalized[block] = pen.mean(axis=-1)
+    return totals, averages, penalized
 
 
 def run_closed_loop(bundle, truth, horizon, seed, x0_model=None, v_model=None):
@@ -204,11 +231,11 @@ def run_closed_loop(bundle, truth, horizon, seed, x0_model=None, v_model=None):
     the bundle's gain, fed the method's disturbance mean each step.
     """
     x, x_hat, u, y, stage, penalized, terminal = _simulate(
-        bundle, [seed], horizon, truth, x0_model=x0_model, v_model=v_model)
-    return SimulationTrace(horizon=int(horizon), x=x[0], x_hat=x_hat[0], u=u[0],
-                           y=y[0], stage_cost=stage[0],
-                           penalized_stage_cost=penalized[0],
-                           terminal_cost=float(terminal[0]))
+        [bundle], [[seed]], horizon, truth, x0_model=x0_model, v_model=v_model)
+    return SimulationTrace(horizon=int(horizon), x=x[:, 0, 0], x_hat=x_hat[:, 0, 0],
+                           u=u[:, 0, 0], y=y[:, 0, 0], stage_cost=stage[0, 0],
+                           penalized_stage_cost=penalized[0, 0],
+                           terminal_cost=float(terminal[0, 0]))
 
 
 def monte_carlo_summary(bundle, truth, horizon, runs, base_seed,
@@ -216,8 +243,8 @@ def monte_carlo_summary(bundle, truth, horizon, runs, base_seed,
     """Cost statistics over independent runs; deterministic given base_seed."""
     children = _spawn(base_seed, runs)
     start = time.perf_counter()
-    totals, averages, _ = _run_costs(bundle, children, horizon, truth,
-                                     x0_model=x0_model, v_model=v_model)
+    (totals,), (averages,), _ = _run_costs([bundle], [children], horizon, truth,
+                                           x0_model=x0_model, v_model=v_model)
     wall = time.perf_counter() - start
     std = float(totals.std(ddof=1)) if runs > 1 else 0.0
     return CostSummary(mean_total_cost=float(totals.mean()), std_total_cost=std,
@@ -236,7 +263,7 @@ def penalized_average_cost(bundle, horizon, runs, base_seed, x0_model=None):
         raise ValueError("penalized average cost is defined for WDRC bundles")
     noise = Gaussian(np.zeros(bundle.system.n_x), bundle.steady.Sigma_star)
     children = _spawn(base_seed, runs)
-    *_, penalized = _run_costs(bundle, children, horizon, noise,
+    *_, penalized = _run_costs([bundle], [children], horizon, noise,
                                x0_model=x0_model, worst_case=True)
     return float(penalized.mean())
 
@@ -248,10 +275,12 @@ def out_of_sample_curve(system, weights, truth, sample_sizes, thetas, runs,
 
     Each cell repeats ``dataset_draws`` times: draw N training samples from
     the truth, build the empirical nominal, tune the penalty for the radius,
-    design, and estimate the average cost under the truth by Monte Carlo.
-    Reports the mean cost, the mean certified bound, and the fraction of
-    draws whose realized cost exceeded their bound. Design failures are
-    recorded per cell rather than raised; the grid's Riccati stages are shared.
+    and design. The cell's designs are then simulated together, each draw's
+    ``runs`` under the truth with its own seed stream, so a draw's average
+    cost equals its ``monte_carlo_summary``. Reports the mean cost, the mean
+    certified bound, and the fraction of draws whose realized cost exceeded
+    their bound. Design failures are recorded per cell rather than raised and
+    not simulated; the grid's Riccati stages are shared.
     """
     if not all(theta >= 0 for theta in thetas):
         raise ValueError("theta must be nonnegative")
@@ -264,7 +293,7 @@ def out_of_sample_curve(system, weights, truth, sample_sizes, thetas, runs,
     rows = []
     for i, n_samples in enumerate(sample_sizes):
         for j, theta in enumerate(thetas):
-            costs, bounds, failures = [], [], 0
+            bundles, seeds, bounds, failures = [], [], [], 0
             for d in range(dataset_draws):
                 train_seed = np.random.SeedSequence(entropy=base.entropy,
                                                     spawn_key=(i, j, d, 0))
@@ -275,13 +304,17 @@ def out_of_sample_curve(system, weights, truth, sample_sizes, thetas, runs,
                 nominal = empirical_moments(samples, jitter=jitter)
                 try:
                     _, bundle, report = _tune(system, weights, nominal, theta, grid)
-                    summary = monte_carlo_summary(bundle, truth, horizon, runs,
-                                                  eval_seed, x0_model=x0_model)
                 except (AssumptionViolated, NoConvergence, NoAdmissibleLambda):
                     failures += 1
                     continue
-                costs.append(summary.mean_avg_cost)
+                bundles.append(bundle)
+                seeds.append(_spawn(eval_seed, runs))
                 bounds.append(report.bound)
+            costs = []
+            if bundles:
+                _, averages, _ = _run_costs(bundles, seeds, horizon, truth,
+                                            x0_model=x0_model)
+                costs = [float(row.mean()) for row in averages]
             n_ok = len(costs)
             violations = sum(c > b for c, b in zip(costs, bounds))
             rows.append({

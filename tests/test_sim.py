@@ -14,6 +14,7 @@ from wdrc import (
     stability_report,
 )
 from wdrc.ambiguity import bures_squared
+from wdrc.exceptions import NoAdmissibleLambda
 
 from helpers import (
     REF,
@@ -407,3 +408,87 @@ class TestOutOfSampleCurve:
         a = out_of_sample_curve(system, weights, truth, [20], [0.05], **kw)
         b = out_of_sample_curve(system, weights, truth, [20], [0.05], **kw)
         assert a == b
+
+
+def _small_oos_plant():
+    """The 2-state plant, weights and truth of the small_oos benchmark workload."""
+    A = np.array([[0.85, 0.2], [0.0, 0.7]])
+    system = wdrc.LinearSystem(A=A, B=np.eye(2), C=np.eye(2), M=0.2 * np.eye(2),
+                               m0=np.zeros(2), M0=0.05 * np.eye(2))
+    weights = wdrc.CostWeights(Q=np.eye(2), Qf=np.eye(2), R=np.eye(2))
+    truth = Gaussian(mean=[0.05, -0.02], cov=[[0.3, 0.1], [0.1, 0.2]])
+    return system, weights, truth
+
+
+class TestBatchedCell:
+    """out_of_sample_curve simulates a cell's designs in one _run_costs call;
+    each draw's cost must equal its own monte_carlo_summary."""
+
+    horizon = 60
+    base_seed = 4
+
+    def _curve(self, monkeypatch, runs, draws):
+        system, weights, truth = _small_oos_plant()
+        calls = []
+        run_costs = wdrc.sim._run_costs
+
+        def recording(bundles, seeds, *args, **kwargs):
+            out = run_costs(bundles, seeds, *args, **kwargs)
+            calls.append((list(bundles), seeds, [float(row.mean()) for row in out[1]]))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(wdrc.sim, "_run_costs", recording)
+            rows = out_of_sample_curve(system, weights, truth, [20], [0.1], runs=runs,
+                                       base_seed=self.base_seed, dataset_draws=draws,
+                                       horizon=self.horizon,
+                                       lambda_grid=np.geomspace(4.0, 1e4, 8))
+        assert len(calls) == 1
+        return truth, rows[0], calls[0]
+
+    def _eval_seed(self, d):
+        return np.random.SeedSequence(entropy=self.base_seed, spawn_key=(0, 0, d, 1))
+
+    @pytest.mark.parametrize("runs, draws", [(5, 7), (70, 1)])
+    def test_costs_equal_per_bundle_summaries(self, monkeypatch, runs, draws):
+        # 7 draws of 5 runs fill one block of 6 bundles and one of 1; one
+        # bundle of 70 runs is split into blocks of 32, 32 and 6 runs
+        truth, row, (bundles, _, costs) = self._curve(monkeypatch, runs, draws)
+        assert row["failures"] == 0 and len(bundles) == draws
+        worst = 0.0
+        for d, (bundle, cost) in enumerate(zip(bundles, costs)):
+            single = monte_carlo_summary(bundle, truth, self.horizon, runs, self._eval_seed(d))
+            worst = max(worst, abs(cost - single.mean_avg_cost) / abs(single.mean_avg_cost))
+        assert worst <= 1e-12
+        assert row["mean_cost"] == float(np.mean(costs))
+
+    def test_failed_draw_is_not_simulated(self, monkeypatch):
+        truth, _, (_, seeds, costs) = self._curve(monkeypatch, 5, 7)
+        tune, tuned = wdrc.sim._tune, []
+
+        def failing_third(*args):
+            tuned.append(None)
+            if len(tuned) == 3:
+                raise NoAdmissibleLambda("no admissible penalty")
+            return tune(*args)
+
+        monkeypatch.setattr(wdrc.sim, "_tune", failing_third)
+        _, row, (bundles, kept_seeds, kept_costs) = self._curve(monkeypatch, 5, 7)
+        assert row["failures"] == 1 and len(bundles) == 6
+        assert kept_costs == costs[:2] + costs[3:]
+        keys = [[child.spawn_key for child in run_seeds] for run_seeds in kept_seeds]
+        assert keys == [[child.spawn_key for child in run_seeds]
+                        for run_seeds in seeds[:2] + seeds[3:]]
+
+    def test_row_values_are_builtin(self):
+        system, weights, truth = _small_oos_plant()
+        rows = out_of_sample_curve(system, weights, truth, [20, 40], [0.05, 0.2], runs=3,
+                                   base_seed=2, dataset_draws=3, horizon=30,
+                                   lambda_grid=np.geomspace(4.0, 1e4, 8))
+        rows += out_of_sample_curve(REF["system"], REF["weights"], Gaussian([0.0], [[1.0]]),
+                                    [10], [0.1], runs=2, base_seed=1, dataset_draws=2,
+                                    horizon=30, lambda_grid=[0.5])  # every draw fails
+        assert rows[-1]["mean_cost"] is None
+        for row in rows:
+            for value in row.values():
+                assert type(value) in (int, float, type(None))
