@@ -1,8 +1,10 @@
 """Command-line driver: JSON experiment configs in, JSON/CSV artifacts out.
 
 Subcommands: design, simulate, compare, sweep-theta, sweep-lambda, tune.
-Exit codes: 0 success, 1 malformed config, 2 assumption violation,
-3 solver non-convergence.
+Every mode reads the config through ``load_config``, builds one results dict
+of JSON documents and CSV tables, and writes it through ``emit_outputs``;
+``main`` prints each written path, one per line. Exit codes: 0 success,
+1 malformed config, 2 assumption violation, 3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -34,12 +36,14 @@ from .model import (
 
 __all__ = ["ExperimentConfig", "run_experiment", "emit_outputs", "main"]
 
-EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_ASSUMPTION = 2
-EXIT_NO_CONVERGENCE = 3
+# exit code of each documented failure; any other error propagates
+EXIT_CODES = {ConfigError: 1, AssumptionViolated: 2, NoAdmissibleLambda: 2,
+              NoConvergence: 3}
 
 SUMMARY_HEADER = ["method", "runs", "mean_cost", "std_cost", "wall_time_s"]
+LAMBDA_HEADER = ["lam", "rho", "bound", "status"]
+OOS_HEADER = ["n_samples", "theta", "mean_cost", "mean_bound",
+              "violation_fraction", "draws", "failures"]
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,34 @@ class ExperimentConfig:
     method: str
     out_dir: str
     digest: str
-    raw: dict
+
+
+def _parse(field, build, *args):
+    """``build(*args)``; a KeyError or ValueError it raises becomes a
+    ConfigError naming ``field``."""
+    try:
+        return build(*args)
+    except KeyError as exc:
+        raise ConfigError(field, "missing matrix %s" % exc)
+    except ValueError as exc:
+        raise ConfigError(field, str(exc))
+
+
+def _grid_plant(g, n_gen, observed, dt):
+    """ZOH-discretized generator grid and its default weights."""
+    lap = g.get("laplacian")
+    system, weights = build_power_system(
+        n_gen,
+        g.get("inertia", np.ones(n_gen)),
+        g.get("damping", np.ones(n_gen)),
+        ring_chords_laplacian(n_gen) if lap is None else lap,
+        observed,
+        measurement_cov=g.get("M"),
+        m0=g.get("m0"),
+        M0=g.get("M0"),
+    )
+    A_d, B_d = zoh_discretize(system.A, system.B, dt)
+    return system.replace(A=A_d, B=B_d), weights
 
 
 def _require(obj, key, path):
@@ -101,50 +132,23 @@ def _scalar(value, kind, field, above=None):
 
 
 def _build_system(raw, path="system"):
-    if "power_grid" in _object(raw, path):
-        path += ".power_grid"
-        g = _object(raw["power_grid"], path)
-        n_gen = _scalar(_require(g, "n_gen", path), int, path + ".n_gen")
-        observed = _scalar(g.get("observed_gens", n_gen), int, path + ".observed_gens")
-        dt = _scalar(g.get("dt", 0.1), float, path + ".dt")
-        lap = g.get("laplacian")
-        try:
-            system, weights = build_power_system(
-                n_gen,
-                g.get("inertia", np.ones(n_gen)),
-                g.get("damping", np.ones(n_gen)),
-                ring_chords_laplacian(n_gen) if lap is None else lap,
-                observed,
-                measurement_cov=g.get("M"),
-                m0=g.get("m0"),
-                M0=g.get("M0"),
-            )
-            A_d, B_d = zoh_discretize(system.A, system.B, dt)
-            system = system.replace(A=A_d, B=B_d)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc))
-        return system, weights
-    try:
-        return system_from_json(raw), None
-    except KeyError as exc:
-        raise ConfigError(path, "missing matrix %s" % exc)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc))
+    if "power_grid" not in _object(raw, path):
+        return _parse(path, system_from_json, raw), None
+    path += ".power_grid"
+    g = _object(raw["power_grid"], path)
+    n_gen = _scalar(_require(g, "n_gen", path), int, path + ".n_gen")
+    observed = _scalar(g.get("observed_gens", n_gen), int, path + ".observed_gens")
+    dt = _scalar(g.get("dt", 0.1), float, path + ".dt")
+    return _parse(path, _grid_plant, g, n_gen, observed, dt)
 
 
 def _build_nominal(raw, truth, seed, jitter, path="nominal"):
     jitter = _scalar(_object(raw, path).get("jitter", jitter), float, path + ".jitter")
     if "mean" in raw or "cov" in raw:
-        try:
-            return NominalMoments(w_hat=_require(raw, "mean", path),
-                                  sigma_hat=_require(raw, "cov", path))
-        except ValueError as exc:
-            raise ConfigError(path, str(exc))
+        return _parse(path, NominalMoments, _require(raw, "mean", path),
+                      _require(raw, "cov", path))
     if "samples" in raw:
-        try:
-            return empirical_moments(raw["samples"], jitter=jitter)
-        except ValueError as exc:
-            raise ConfigError(path + ".samples", str(exc))
+        return _parse(path + ".samples", empirical_moments, raw["samples"], jitter)
     if "sample_count" in raw:
         count = _scalar(raw["sample_count"], int, path + ".sample_count", 0)
         # dedicated substream so the nominal does not perturb simulation draws
@@ -182,12 +186,7 @@ def load_config(path, overrides=None):
 
     system, default_weights = _build_system(_require(raw, "system", ""))
     if "weights" in raw:
-        try:
-            weights = weights_from_json(_object(raw["weights"], "weights"))
-        except KeyError as exc:
-            raise ConfigError("weights", "missing matrix %s" % exc)
-        except ValueError as exc:
-            raise ConfigError("weights", str(exc))
+        weights = _parse("weights", weights_from_json, _object(raw["weights"], "weights"))
     elif default_weights is not None:
         weights = default_weights
     else:
@@ -196,16 +195,10 @@ def load_config(path, overrides=None):
         raise ConfigError("weights", "Q and R must match the %d states and %d inputs"
                           % (system.n_x, system.n_u))
 
-    try:
-        truth = distribution_from_json(_require(raw, "truth", ""), "truth")
-    except ValueError as exc:
-        raise ConfigError("truth", str(exc))
+    truth = _parse("truth", distribution_from_json, _require(raw, "truth", ""), "truth")
     x0 = None
     if raw.get("x0") is not None:
-        try:
-            x0 = distribution_from_json(raw["x0"], "x0")
-        except ValueError as exc:
-            raise ConfigError("x0", str(exc))
+        x0 = _parse("x0", distribution_from_json, raw["x0"], "x0")
     for field, model in (("truth", truth), ("x0", x0)):
         if model is not None and model.moments()[0].size != system.n_x:
             raise ConfigError(field, "dimension must equal the %d plant states" % system.n_x)
@@ -257,12 +250,16 @@ def load_config(path, overrides=None):
         dataset_draws=_scalar(raw.get("dataset_draws", 20), int, "dataset_draws", 0),
         horizon=horizon, runs=runs, seed=seed,
         traces=_scalar(raw.get("traces", 0), int, "traces", -1),
-        method=method, out_dir=str(raw.get("out_dir", "out")), digest=digest, raw=raw,
+        method=method, out_dir=str(raw.get("out_dir", "out")), digest=digest,
     )
 
 
-def _resolve_design(config):
-    """(bundle, bound report) for the config's lambda- or theta-mode."""
+def _resolve_design(config, method="WDRC"):
+    """(bundle, bound report) for ``method``: LQG has no report; WDRC is
+    designed in the config's lambda- or theta-mode."""
+    if method == "LQG":
+        return design_mod.design_lqg(config.system, config.weights,
+                                     config.nominal, seed=config.seed), None
     if config.theta is not None:
         _, bundle, report = design_mod._tune(config.system, config.weights,
                                              config.nominal, config.theta,
@@ -275,25 +272,17 @@ def _resolve_design(config):
 
 
 def emit_outputs(results, out_dir):
-    """Write the artifact dict to disk; returns the written paths.
+    """Write the artifact dict under ``out_dir``; returns the written paths.
 
-    results keys: 'solution' (JSON-able dict), 'summary' (list of row
-    tuples), 'traces' (list of SimulationTrace), plus optional named CSV
-    tables under 'tables' as (header, rows) pairs.
+    results keys: 'documents' (JSON-able objects keyed by file name) and
+    'tables' (CSV ``(header, rows)`` pairs keyed by file name), both
+    optional. Documents are written first, each kind in its key order.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    if "solution" in results:
-        path = os.path.join(out_dir, "solution.json")
-        serialize.write_json(path, results["solution"])
-        written.append(path)
-    if "summary" in results:
-        path = os.path.join(out_dir, "summary.csv")
-        serialize.write_csv(path, SUMMARY_HEADER, results["summary"])
-        written.append(path)
-    for idx, trace in enumerate(results.get("traces", [])):
-        path = os.path.join(out_dir, "trace_%03d.csv" % idx)
-        sim.write_trace_csv(path, trace)
+    for name, doc in results.get("documents", {}).items():
+        path = os.path.join(out_dir, name)
+        serialize.write_json(path, doc)
         written.append(path)
     for name, (header, rows) in results.get("tables", {}).items():
         path = os.path.join(out_dir, name)
@@ -311,47 +300,33 @@ def _solution_doc(config, bundle, report):
     }
 
 
-def _summary_row(method, summary):
-    return (method, summary.runs, summary.mean_total_cost,
-            summary.std_total_cost, summary.wall_time)
+def _columns(header, rows):
+    """Each row dict's values in ``header`` order."""
+    return [[r[k] for k in header] for r in rows]
 
 
 def run_experiment(config, mode="simulate"):
     """Execute one experiment mode; returns the paths written."""
-    results = {}
+    documents, tables = {}, {}
     if mode == "design":
-        bundle, report = _resolve_design(config)
-        results["solution"] = _solution_doc(config, bundle, report)
-    elif mode == "simulate":
-        if config.method == "LQG":
-            bundle = design_mod.design_lqg(config.system, config.weights,
-                                           config.nominal, seed=config.seed)
-            report = None
-        else:
-            bundle, report = _resolve_design(config)
-        summary = sim.monte_carlo_summary(bundle, config.truth, config.horizon,
-                                          config.runs, config.seed,
-                                          x0_model=config.x0)
-        results["solution"] = _solution_doc(config, bundle, report)
-        results["summary"] = [_summary_row(bundle.method, summary)]
-        if config.traces > 0:
-            children = np.random.SeedSequence(config.seed).spawn(min(config.traces, config.runs))
-            results["traces"] = [
-                sim.run_closed_loop(bundle, config.truth, config.horizon, child,
-                                    x0_model=config.x0)
-                for child in children
-            ]
-    elif mode == "compare":
-        bundle, report = _resolve_design(config)
-        baseline = design_mod.design_lqg(config.system, config.weights,
-                                         config.nominal, seed=config.seed)
-        kw = dict(x0_model=config.x0)
-        s_wdrc = sim.monte_carlo_summary(bundle, config.truth, config.horizon,
-                                         config.runs, config.seed, **kw)
-        s_lqg = sim.monte_carlo_summary(baseline, config.truth, config.horizon,
-                                        config.runs, config.seed, **kw)
-        results["solution"] = _solution_doc(config, bundle, report)
-        results["summary"] = [_summary_row("WDRC", s_wdrc), _summary_row("LQG", s_lqg)]
+        documents["solution.json"] = _solution_doc(config, *_resolve_design(config))
+    elif mode in ("simulate", "compare"):
+        methods = ["WDRC", "LQG"] if mode == "compare" else [config.method]
+        designs = [_resolve_design(config, method) for method in methods]
+        documents["solution.json"] = _solution_doc(config, *designs[0])
+        rows = []
+        for bundle, _ in designs:
+            s = sim.monte_carlo_summary(bundle, config.truth, config.horizon,
+                                        config.runs, config.seed, x0_model=config.x0)
+            rows.append((bundle.method, s.runs, s.mean_total_cost, s.std_total_cost,
+                         s.wall_time))
+        tables["summary.csv"] = (SUMMARY_HEADER, rows)
+        traces = config.traces if mode == "simulate" else 0
+        children = np.random.SeedSequence(config.seed).spawn(min(traces, config.runs))
+        for idx, child in enumerate(children):
+            trace = sim.run_closed_loop(designs[0][0], config.truth, config.horizon,
+                                        child, x0_model=config.x0)
+            tables["trace_%03d.csv" % idx] = sim._trace_table(trace)
     elif mode == "sweep-theta":
         thetas = config.thetas or ([config.theta] if config.theta is not None else None)
         if not thetas:
@@ -364,9 +339,7 @@ def run_experiment(config, mode="simulate"):
             config.runs, config.seed, dataset_draws=config.dataset_draws,
             horizon=config.horizon, lambda_grid=config.lambda_grid,
             x0_model=config.x0)
-        header = ["n_samples", "theta", "mean_cost", "mean_bound",
-                  "violation_fraction", "draws", "failures"]
-        results["tables"] = {"oos_curve.csv": (header, [[r[k] for k in header] for r in rows])}
+        tables["oos_curve.csv"] = (OOS_HEADER, _columns(OOS_HEADER, rows))
     elif mode == "sweep-lambda":
         grid = config.lambda_grid
         if grid is None:
@@ -374,24 +347,20 @@ def run_experiment(config, mode="simulate"):
         theta = config.theta if config.theta is not None else 0.0
         rows = design_mod.evaluate_lambda_grid(config.system, config.weights,
                                                config.nominal, theta, grid)
-        header = ["lam", "rho", "bound", "status"]
-        results["tables"] = {"lambda_curve.csv": (header, [[r[k] for k in header] for r in rows])}
+        tables["lambda_curve.csv"] = (LAMBDA_HEADER, _columns(LAMBDA_HEADER, rows))
     elif mode == "tune":
         if config.theta is None:
             raise ConfigError("theta", "tune mode requires 'theta'")
         rows, _, report = design_mod._tune(config.system, config.weights,
                                            config.nominal, config.theta,
                                            config.lambda_grid)
-        doc = {"lambda_star": report.lam,
-               "report": serialize.bound_to_dict(report),
-               "curve": [{k: r[k] for k in ("lam", "rho", "bound", "status")} for r in rows]}
-        os.makedirs(config.out_dir, exist_ok=True)
-        path = os.path.join(config.out_dir, "tune.json")
-        serialize.write_json(path, doc)
-        return [path]
+        documents["tune.json"] = {
+            "lambda_star": report.lam,
+            "report": serialize.bound_to_dict(report),
+            "curve": [{k: r[k] for k in LAMBDA_HEADER} for r in rows]}
     else:
         raise ValueError("unknown mode %r" % mode)
-    return emit_outputs(results, config.out_dir)
+    return emit_outputs({"documents": documents, "tables": tables}, config.out_dir)
 
 
 def _build_parser():
@@ -415,23 +384,13 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     overrides = {k: getattr(args, k) for k in ("seed", "runs", "horizon", "theta", "lam", "out_dir")}
     try:
-        config = load_config(args.config, overrides)
-        written = run_experiment(config, args.mode)
-    except ConfigError as exc:
+        written = run_experiment(load_config(args.config, overrides), args.mode)
+    except tuple(EXIT_CODES) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-    except AssumptionViolated as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ASSUMPTION
-    except NoAdmissibleLambda as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ASSUMPTION
-    except NoConvergence as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return EXIT_CODES[type(exc)]
     for path in written:
         print(path)
-    return EXIT_OK
+    return 0
 
 
 if __name__ == "__main__":

@@ -284,6 +284,9 @@ def out_of_sample_curve(system, weights, truth, sample_sizes, thetas, runs,
     """
     if not all(theta >= 0 for theta in thetas):
         raise ValueError("theta must be nonnegative")
+    for name, size in (("runs", runs), ("horizon", horizon), ("dataset_draws", dataset_draws)):
+        if size < 1:
+            raise ValueError("%s must be >= 1, got %r" % (name, size))
     try:
         grid = [_stage(system, weights, lam) for lam in (
             default_lambda_grid(system, weights) if lambda_grid is None else lambda_grid)]
@@ -329,10 +332,8 @@ def out_of_sample_curve(system, weights, truth, sample_sizes, thetas, runs,
     return rows
 
 
-def write_trace_csv(path, trace):
-    """Export one trace as CSV: t, states, estimates, inputs, outputs, stage cost."""
-    from .serialize import write_csv
-
+def _trace_table(trace):
+    """(header, rows) of one trace: t, states, estimates, inputs, outputs, stage cost."""
     n = trace.x.shape[1]
     nu = trace.u.shape[1]
     ny = trace.y.shape[1]
@@ -344,7 +345,14 @@ def write_trace_csv(path, trace):
               + ["stage_cost"])
     rows = [[t, *trace.x[t], *trace.x_hat[t], *trace.u[t], *trace.y[t],
              trace.stage_cost[t]] for t in range(trace.horizon)]
-    write_csv(path, header, rows)
+    return header, rows
+
+
+def write_trace_csv(path, trace):
+    """Export one trace as CSV: t, states, estimates, inputs, outputs, stage cost."""
+    from .serialize import write_csv
+
+    write_csv(path, *_trace_table(trace))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -125,6 +127,22 @@ class TestDesignCommand:
         assert main(["simulate", "--config", cfg]) == 1
         assert "config field '%s'" % field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("code, message, updates", [
+        (1, "config field 'horizon'", {"horizon": "ten"}),
+        (2, "assumption 1", {"lambda": 0.1}),
+        (2, "no admissible penalty",
+         {"lambda": None, "theta": 0.1, "lambda_grid": [0.5, 1.0]}),
+        (3, "(A, B) is not stabilizable",
+         {"method": "LQG", "system": dict(SCALAR_CONFIG["system"], A=[[2.0]], B=[[0.0]])}),
+    ])
+    def test_documented_exit_codes(self, tmp_path, capsys, code, message, updates):
+        cfg = write_config(tmp_path, dict(updates, out_dir=str(tmp_path / "o")))
+        assert main(["simulate", "--config", cfg]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_invalid_json_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"system": }')
@@ -236,6 +254,40 @@ class TestTuneAndSweeps:
         path.write_text(json.dumps(cfg_dict))
         assert main(["simulate", "--config", str(path)]) == 0
         assert (out / "summary.csv").exists()
+
+
+class TestPrintedPaths:
+    MODES = {
+        "design": ["solution.json"],
+        "simulate": ["solution.json", "summary.csv", "trace_000.csv", "trace_001.csv"],
+        "compare": ["solution.json", "summary.csv"],
+        "sweep-theta": ["oos_curve.csv"],
+        "sweep-lambda": ["lambda_curve.csv"],
+        "tune": ["tune.json"],
+    }
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_prints_every_written_file(self, tmp_path, capsys, mode):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {
+            "out_dir": str(out), "theta": 0.05, "thetas": [0.05], "sample_sizes": [20],
+            "dataset_draws": 2, "runs": 3, "horizon": 10, "traces": 2,
+            "lambda_grid": [5.0, 10.0]}, drop=("lambda",))
+        assert main([mode, "--config", cfg]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [str(out / name) for name in self.MODES[mode]]
+        assert sorted(os.listdir(out)) == sorted(self.MODES[mode])
+
+    def test_module_entry_point(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"out_dir": str(out)})
+        src = os.path.dirname(os.path.dirname(os.path.abspath(wdrc.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "wdrc.cli", "design", "--config", cfg],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == str(out / "solution.json") + "\n"
 
 
 class TestSerializationPrimitives:

@@ -492,3 +492,18 @@ class TestBatchedCell:
         for row in rows:
             for value in row.values():
                 assert type(value) in (int, float, type(None))
+
+    @pytest.mark.parametrize("name, sizes", [
+        ("horizon", dict(horizon=0)),
+        ("runs", dict(runs=0)),
+        ("dataset_draws", dict(dataset_draws=-1)),
+    ])
+    def test_bad_sizes_fail_before_any_tuning(self, monkeypatch, name, sizes):
+        system, weights, truth = _small_oos_plant()
+        tuned = []
+        monkeypatch.setattr(wdrc.sim, "_tune", lambda *args: tuned.append(args))
+        kwargs = dict(dict(runs=4, dataset_draws=40, horizon=400), **sizes)
+        with pytest.raises(ValueError, match=name):
+            out_of_sample_curve(system, weights, truth, [20], [0.1], base_seed=0,
+                                lambda_grid=np.geomspace(4.0, 1e4, 8), **kwargs)
+        assert tuned == []

@@ -11,7 +11,12 @@ grid row's penalty, status and rho. ``--repo`` names the checkout whose
 so the same script can print an older commit's outputs; run it once per
 checkout and diff the two outputs. BLAS is pinned to one thread, as in
 ``bench/run.py``, because the reference values hold only with the pin.
-Nothing is written.
+
+It then runs the ``wdrc`` CLI's six modes, and ``simulate`` once more with
+``method: LQG``, on one fixed 2-state config in a temporary directory, and
+prints each artifact's name in the order the CLI printed it with the SHA-256
+of its bytes (``summary.csv`` without its wall-time column). Nothing is
+written outside that directory.
 """
 
 import os
@@ -20,10 +25,59 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import contextlib
 import hashlib
+import io
+import json
 import sys
+import tempfile
 
 DEFAULT_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+_EYE = [[1.0, 0.0], [0.0, 1.0]]
+# the out-of-sample plant of acceptance criterion 11, sized to run in seconds
+CLI_CONFIG = {
+    "system": {"A": [[0.85, 0.2], [0.0, 0.7]], "B": _EYE, "C": _EYE,
+               "M": [[0.2, 0.0], [0.0, 0.2]], "m0": [0.0, 0.0],
+               "M0": [[0.05, 0.0], [0.0, 0.05]]},
+    "weights": {"Q": _EYE, "Qf": _EYE, "R": _EYE},
+    "truth": {"type": "gaussian", "mean": [0.05, -0.02], "cov": [[0.3, 0.1], [0.1, 0.2]]},
+    "nominal": {"sample_count": 20},
+    "theta": 0.1, "thetas": [0.1], "sample_sizes": [20],
+    "lambda_grid": [4.0, 40.0, 400.0, 4000.0],
+    "runs": 4, "horizon": 30, "seed": 0, "traces": 2,
+}
+CLI_RUNS = [(mode, {}) for mode in ("design", "simulate", "compare", "sweep-theta",
+                                    "sweep-lambda", "tune")]
+CLI_RUNS.append(("simulate", {"method": "LQG"}))
+
+
+def _artifact_sha256(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if os.path.basename(path) == "summary.csv":  # drop the wall-time column
+        data = b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in data.splitlines())
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cli_artifacts():
+    from wdrc.cli import main as cli_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for idx, (mode, updates) in enumerate(CLI_RUNS):
+            label = " ".join([mode] + ["%s=%s" % kv for kv in updates.items()])
+            out_dir = os.path.join(tmp, "out_%d" % idx)
+            path = os.path.join(tmp, "config_%d.json" % idx)
+            with open(path, "w") as fh:
+                json.dump(dict(CLI_CONFIG, out_dir=out_dir, **updates), fh)
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                code = cli_main([mode, "--config", path])
+            print("cli %s exit: %d" % (label, code))
+            for written in printed.getvalue().splitlines():
+                print("cli %s %s sha256:%s" % (label, os.path.relpath(written, out_dir),
+                                               _artifact_sha256(written)))
 
 
 def _show(value):
@@ -56,6 +110,7 @@ def main(argv=None):
             for row in out.get("rows", []):
                 print("%s seed %d row: %r %s %r" % (name, seed, row["lam"], row["status"],
                                                     row["rho"]))
+    _cli_artifacts()
     return 0
 
 
