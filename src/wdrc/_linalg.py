@@ -3,11 +3,22 @@
 import numpy as np
 
 _COND_LIMIT = 1e12  # bound on cond(lam*I - P) certified by assumption 1, and on cond(R)
+# Doubles of Kronecker factor that dlyap holds at once: one n = 20 factor (n^4).
+_KRON_DOUBLES = 20 ** 4
 
 
 def sym(a):
-    """Symmetric part (X + X')/2; applied after every update that should stay symmetric."""
-    return 0.5 * (a + a.T)
+    """Symmetric part (X + X')/2 of a matrix or of each matrix in a stack (``.T``
+    would reverse every axis); applied after every update that should stay symmetric."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def frobenius(a):
+    """Frobenius norm of each matrix of a stack, as np.linalg.norm(x, "fro") takes
+    it for one matrix: the square root of one dot product of the flattened entries
+    (np.linalg.norm over two axes can differ from it in the last bit)."""
+    flat = a.reshape(len(a), 1, -1)
+    return np.sqrt((flat @ flat.swapaxes(1, 2)).ravel())
 
 
 def spectral_radius(a):
@@ -46,11 +57,20 @@ def psd_project(a):
 
 
 def dlyap(g, w):
-    """Solve X = G' X G + W by Kronecker vectorization (small dense systems only)."""
-    n = g.shape[0]
-    lhs = np.eye(n * n) - np.kron(g.T, g.T)
-    x = np.linalg.solve(lhs, sym(w).reshape(-1))
-    return sym(x.reshape(n, n))
+    """Solve X = G' X G + W by Kronecker vectorization (small dense systems only),
+    for one matrix pair or for each pair of two stacks. The stack is solved in
+    blocks of at most _KRON_DOUBLES factor entries; each matrix gets the same
+    arithmetic as when solved alone."""
+    n = g.shape[-1]
+    gt = g.reshape(-1, n, n).swapaxes(-1, -2)
+    rhs = sym(w).reshape(-1, n * n, 1)
+    x = np.empty_like(rhs)
+    width = max(1, _KRON_DOUBLES // n ** 4)
+    for i in range(0, len(gt), width):
+        block = gt[i:i + width]
+        kron = np.einsum("kab,kcd->kacbd", block, block).reshape(-1, n * n, n * n)
+        x[i:i + width] = np.linalg.solve(np.eye(n * n) - kron, rhs[i:i + width])
+    return sym(x.reshape(np.shape(w)))
 
 
 def _unstable_eigvals(a, tol=1e-9):

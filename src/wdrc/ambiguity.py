@@ -27,6 +27,16 @@ sweep and kept only when it does not decrease the objective; it typically
 cuts the iteration count by orders of magnitude. The equivalent LMI form of
 the program is written out in the README for anyone who prefers to plug in
 an interior-point SDP solver instead.
+
+The ascent runs in lanes. ``_ascend`` is a generator that asks for each
+coupling evaluation with ``yield lane, Sigma``; ``_drive`` advances many such
+generators together and answers each round's requests of one plant with one
+stacked coupling call (a masked filter fixed point, a stacked measurement
+update and a blocked Kronecker Lyapunov solve). Each stacked kernel gives
+every matrix the arithmetic it gets alone, so a lane's result, or the
+exception it raises, does not depend on what it is stacked with. A single
+solve is a stack of one; a design (``design._design``) is a lane that wraps
+``_steady_lane``.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ import numpy as np
 from ._linalg import (
     _COND_LIMIT,
     dlyap,
+    frobenius,
     is_detectable,
     is_stabilizable,
     max_eigval,
@@ -75,6 +86,17 @@ class WorstCaseCovResult:
     objective: float
     kkt_residual: float
     iterations: int
+
+
+@dataclass
+class _Lane:
+    """Coupling data of one ascent: the plant, S, and the covariance the coupling
+    starts from (the stationary filter's warm start, moved to each evaluation's
+    fixed point, or the finite stage's propagated belief covariance)."""
+
+    system: object
+    S: np.ndarray
+    start: np.ndarray
 
 
 def _as_moments(m):
@@ -158,26 +180,36 @@ def _require_dominance(lam, P, where):
 
 
 def _filter_fixpoint(A, C, M, sigma, start):
-    """Stationary one-step-ahead covariance for process noise sigma.
+    """Stationary one-step-ahead covariance for process noise sigma, or for each
+    noise of a stack, iterated from the matching ``start``.
 
-    Iterates measure-then-propagate from ``start`` until the Frobenius change
-    drops below _FILTER_TOL. Convergence is geometric at the squared spectral
-    radius of the filter loop.
+    Iterates measure-then-propagate until the Frobenius change drops below
+    _FILTER_TOL. In a stack each covariance stops on its own change and is
+    frozen there, so it gets the iterates it gets alone. Convergence is
+    geometric at the squared spectral radius of the filter loop.
     """
-    x_prior = sym(np.asarray(start, dtype=float))
+    n = A.shape[0]
+    out = sym(np.asarray(start, dtype=float)).reshape(-1, n, n)
+    sigma = np.reshape(sigma, out.shape)
+    live, x_prior = np.arange(len(out)), out
     for _ in range(_FILTER_MAX_ITER):
         x_post = _measurement_update(x_prior, C, M)[0]
         x_next = sym(A @ x_post @ A.T + sigma)
-        delta = np.linalg.norm(x_next - x_prior, "fro")
+        done = frobenius(x_next - x_prior) < _FILTER_TOL
+        if done.any():
+            out[live[done]] = x_next[done]
+            if done.all():
+                return out.reshape(np.shape(start))
+            x_next, sigma, live = x_next[~done], sigma[~done], live[~done]
         x_prior = x_next
-        if delta < _FILTER_TOL:
-            return x_prior
     raise NoConvergence("filter covariance recursion hit %d iterations" % _FILTER_MAX_ITER)
 
 
-def _ascend(sigma_hat, P, lam, coupling):
-    """Shared projected-ascent loop; ``coupling`` maps Sigma to
-    (Tr[S X], Omega, (X, X_prior)) for the variant being solved.
+def _ascend(sigma_hat, P, lam, lane):
+    """Shared projected-ascent loop for one lane, as a generator: each coupling
+    evaluation is ``yield lane, Sigma``, answered with (Tr[S X], Omega, (X, X_prior))
+    for the variant being solved; returns the WorstCaseCovResult. ``_drive`` runs
+    many lanes together.
 
     The stationarity residual is the projected-gradient mapping norm divided
     by max(1, lam): gradient entries are differences of O(lam) terms, so an
@@ -199,7 +231,7 @@ def _ascend(sigma_hat, P, lam, coupling):
     range_proj = sym((v_hat[:, keep]) @ (v_hat[:, keep]).T)
 
     def evaluate(sigma):
-        tr_sx, omega, covs = coupling(sigma)
+        tr_sx, omega, covs = yield lane, sigma
         t_val, t_grad = _tr_sqrt_and_grad(sqrt_hat, sigma)
         f = tr_sx + float(np.sum(pm * sigma)) + 2.0 * lam * t_val
         g = sym(omega + pm + 2.0 * lam * t_grad)
@@ -209,7 +241,7 @@ def _ascend(sigma_hat, P, lam, coupling):
         return np.linalg.norm(psd_project(sigma + g) - sigma, "fro") / scale
 
     sigma = psd_project(sigma_hat)
-    f, g, covs, omega = evaluate(sigma)
+    f, g, covs, omega = yield from evaluate(sigma)
     residual = mapping_residual(sigma, g)
     step = 1.0 / scale
     iterations = 0
@@ -223,7 +255,7 @@ def _ascend(sigma_hat, P, lam, coupling):
         if min_eigval(w_mat) > 0.0:
             half = np.linalg.solve(w_mat, sigma_hat)
             cand = psd_project(lam * lam * np.linalg.solve(w_mat, half.T))
-            tr_sx_c, omega_c, x_c = coupling(cand)
+            tr_sx_c, omega_c, x_c = yield lane, cand
             t_val_c = _tr_sqrt_and_grad(sqrt_hat, cand)[0]
             fc = tr_sx_c + float(np.sum(pm * cand)) + 2.0 * lam * t_val_c
             gc = sym(omega_c + pm + range_proj @ w_mat @ range_proj)
@@ -240,7 +272,7 @@ def _ascend(sigma_hat, P, lam, coupling):
                 drift = trial - sigma
                 if np.linalg.norm(drift, "fro") <= 1e-15 * (1.0 + np.linalg.norm(sigma, "fro")):
                     break
-                ft, gt, xt, ot = evaluate(trial)
+                ft, gt, xt, ot = yield from evaluate(trial)
                 if ft >= f + 1e-4 * float(np.sum(g * drift)):
                     new = (trial, ft, gt, xt, ot, mapping_residual(trial, gt))
                     step = 2.0 * t
@@ -263,6 +295,98 @@ def _ascend(sigma_hat, P, lam, coupling):
     )
 
 
+def _drive(lanes, coupling):
+    """Run lane generators together; returns each one's outcome, its return
+    value or the exception it raised.
+
+    Each round takes the (lane, Sigma) request of every unfinished generator,
+    answers the requests of each plant with one stacked ``coupling(lanes,
+    sigmas)`` call, and sends every generator its own reply. The stacked
+    kernels give each lane the arithmetic it gets alone, so no outcome depends
+    on the other lanes. When a stacked call raises, its lanes are evaluated
+    one at a time, and a failed evaluation is raised inside its own generator.
+    """
+    outcomes = [None] * len(lanes)
+    replies = dict.fromkeys(range(len(lanes)), (None, None))
+    while replies:
+        plants = {}
+        for i, (reply, error) in replies.items():
+            try:
+                lane, sigma = lanes[i].send(reply) if error is None else lanes[i].throw(error)
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except Exception as exc:  # the lane's own failure, for its caller to raise or record
+                outcomes[i] = exc
+            else:
+                plants.setdefault(id(lane.system), []).append((i, lane, sigma))
+        replies = {}
+        for group in plants.values():
+            index, group_lanes, sigmas = zip(*group)
+            try:
+                answers = [(answer, None) for answer in coupling(group_lanes, sigmas)]
+            except Exception:
+                answers = [_alone(coupling, lane, sigma)
+                           for lane, sigma in zip(group_lanes, sigmas)]
+            replies.update(zip(index, answers))
+    return outcomes
+
+
+def _alone(coupling, lane, sigma):
+    """(reply, None) or (None, exception) of one lane's coupling evaluation."""
+    try:
+        return coupling([lane], [sigma])[0], None
+    except Exception as exc:
+        return None, exc
+
+
+def _unwrap(outcome):
+    """A lane's return value, or the exception it raised, raised again."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _steady_coupling(lanes, sigmas):
+    """(Tr[S X], Omega, (X, X_prior)) per lane of one plant: X_prior the stationary
+    filter fixed point under noise Sigma from the lane's warm start, which then
+    moves to it, and Omega = dlyap(A (I - K C), (I - K C)' S (I - K C))."""
+    system = lanes[0].system
+    A, C, M = system.A, system.C, system.M
+    S = np.array([lane.S for lane in lanes])
+    x_prior = _filter_fixpoint(A, C, M, np.array(sigmas), np.array([lane.start for lane in lanes]))
+    x_post, _, ikc = _measurement_update(x_prior, C, M)
+    omega = dlyap(A @ ikc, sym(ikc.swapaxes(-1, -2) @ S @ ikc))
+    tr_sx = np.sum(S * x_post, axis=(-2, -1))
+    for lane, start in zip(lanes, x_prior):
+        lane.start = start
+    return [(float(t), o, (xp, xq)) for t, o, xp, xq in zip(tr_sx, omega, x_post, x_prior)]
+
+
+def _finite_coupling(lanes, sigmas):
+    """(Tr[S X], Omega, (X, X_prior)) per lane of one plant with X_prior = the
+    lane's propagated belief covariance + Sigma, and Omega = (I - K C)' S (I - K C)."""
+    system = lanes[0].system
+    S = np.array([lane.S for lane in lanes])
+    x_prior = sym(np.array([lane.start for lane in lanes]) + np.array(sigmas))
+    x_post, _, ikc = _measurement_update(x_prior, system.C, system.M)
+    omega = sym(ikc.swapaxes(-1, -2) @ S @ ikc)
+    tr_sx = np.sum(S * x_post, axis=(-2, -1))
+    return [(float(t), o, (xp, xq)) for t, o, xp, xq in zip(tr_sx, omega, x_post, x_prior)]
+
+
+def _steady_lane(system, S_ss, P_ss, sigma_hat, lam):
+    """worst_case_cov_steady as a lane for ``_drive(lanes, _steady_coupling)``."""
+    A, C, M = system.A, system.C, system.M
+    _require_dominance(lam, P_ss, "for the covariance program")
+    _check_psd_input(sigma_hat, "sigma_hat")
+    if not is_detectable(A, C):  # the filter recursions below could never converge
+        raise AssumptionViolated("4 (filter regularity)", "(A, C) is not detectable")
+    start = sym(np.asarray(sigma_hat, dtype=float)) + np.eye(system.n_x)
+    result = yield from _ascend(sigma_hat, P_ss, lam, _Lane(system, sym(S_ss), start))
+    _certified_filter_pair(A, C, M, result.sigma_star, result.x_prior)
+    return result
+
+
 def worst_case_cov_steady(system, S_ss, P_ss, sigma_hat, lam):
     """Stationary worst-case covariance coupled to its own steady filter.
 
@@ -274,26 +398,10 @@ def worst_case_cov_steady(system, S_ss, P_ss, sigma_hat, lam):
     over max(1, lam)) is at most 1e-7. S_ss is nominally PSD but is accepted
     with the O(|P|^2/lam) negative part that partially actuated plants
     produce; the ascent then certifies a stationary point, not a global maximum.
+    A design runs this as one lane of a stack (``_steady_lane``).
     """
-    A, C, M = system.A, system.C, system.M
-    _require_dominance(lam, P_ss, "for the covariance program")
-    _check_psd_input(sigma_hat, "sigma_hat")
-    if not is_detectable(A, C):  # the filter recursions below could never converge
-        raise AssumptionViolated("4 (filter regularity)", "(A, C) is not detectable")
-    S_ss = sym(S_ss)
-    warm = {"x_prior": sym(np.asarray(sigma_hat, dtype=float)) + np.eye(system.n_x)}
-
-    def coupling(sigma):
-        x_prior = _filter_fixpoint(A, C, M, sigma, warm["x_prior"])
-        warm["x_prior"] = x_prior
-        x_post, _, ikc = _measurement_update(x_prior, C, M)
-        loop = A @ ikc
-        omega = dlyap(loop, sym(ikc.T @ S_ss @ ikc))
-        return float(np.sum(S_ss * x_post)), omega, (x_post, x_prior)
-
-    result = _ascend(sigma_hat, P_ss, lam, coupling)
-    _certified_filter_pair(A, C, M, result.sigma_star, result.x_prior)
-    return result
+    lane = _steady_lane(system, S_ss, P_ss, sigma_hat, lam)
+    return _unwrap(_drive([lane], _steady_coupling)[0])
 
 
 def worst_case_cov_finite(system, S_next, P_next, sigma_hat, lam, x_cov):
@@ -304,19 +412,12 @@ def worst_case_cov_finite(system, S_next, P_next, sigma_hat, lam, x_cov):
     returned x_cov is the belief covariance at the next stage under the
     maximizer, and the objective equals that stage's adversary value.
     """
-    A, C, M = system.A, system.C, system.M
+    A = system.A
     _require_dominance(lam, P_next, "for the covariance program")
     _check_psd_input(sigma_hat, "sigma_hat")
-    S_next = sym(S_next)
     propagated = sym(A @ sym(np.asarray(x_cov, dtype=float)) @ A.T)
-
-    def coupling(sigma):
-        x_prior = sym(propagated + sigma)
-        x_post, _, ikc = _measurement_update(x_prior, C, M)
-        omega = sym(ikc.T @ S_next @ ikc)
-        return float(np.sum(S_next * x_post)), omega, (x_post, x_prior)
-
-    return _ascend(sigma_hat, P_next, lam, coupling)
+    lane = _ascend(sigma_hat, P_next, lam, _Lane(system, sym(S_next), propagated))
+    return _unwrap(_drive([lane], _finite_coupling)[0])
 
 
 def _certified_filter_pair(A, C, M, sigma, x_prior):

@@ -18,7 +18,14 @@ import numpy as np
 import scipy.linalg
 
 from ._linalg import is_detectable, is_stabilizable, max_eigval, psd_sqrt, sym
-from .ambiguity import bures_squared, solve_filter_are, worst_case_cov_steady
+from .ambiguity import (
+    _drive,
+    _steady_coupling,
+    _steady_lane,
+    _unwrap,
+    bures_squared,
+    solve_filter_are,
+)
 from .estimator import steady_gain
 from .exceptions import AssumptionViolated, NoAdmissibleLambda, NoConvergence
 from .riccati import (
@@ -133,13 +140,22 @@ def design_wdrc(system, weights, nominal, lam, theta=None, seed=None):
     Pipeline: steady-state Riccati solve, policy parameters, and the worst-case
     covariance program, whose certified stationary filter pair the bundle
     carries. Raises AssumptionViolated or NoConvergence from the failing stage.
+    The design is a stack of one lane (see ``_design``).
     """
+    lane = _design(system, weights, nominal, lam, theta, seed)
+    return _unwrap(_drive([lane], _steady_coupling)[0])
+
+
+def _design(system, weights, nominal, lam, theta=None, seed=None):
+    """design_wdrc as a lane for ``ambiguity._drive(lanes, _steady_coupling)``:
+    a generator that passes on its covariance ascent's coupling requests and
+    returns the bundle."""
     lam = _stage(system, weights, lam)
     if lam.error:
         raise lam.error[0].with_traceback(lam.error[1])
     phi, P = lam.stage
     params = steady_state_policy_params(system, weights, nominal, lam, P)
-    wc = worst_case_cov_steady(system, params.S, P, nominal.sigma_hat, lam)
+    wc = yield from _steady_lane(system, params.S, P, nominal.sigma_hat, lam)
     steady = SteadyStateSolution(
         lam=float(lam), theta=None if theta is None else float(theta),
         P=P, S=params.S, r=params.r, K=params.K, L=params.L, H=params.H,
@@ -215,42 +231,64 @@ def default_lambda_grid(system, weights, points=40, lam_hi=1e6):
 def evaluate_lambda_grid(system, weights, nominal, theta, grid):
     """Bound curve over a penalty grid; inadmissible points are recorded,
     not fatal. Returns a list of dict rows (lam, rho, bound, status, bundle),
-    with ``bundle`` the design at that penalty, or None for a rejected row."""
-    rows = []
-    for lam in grid:
-        row = {"lam": float(lam), "rho": None, "bound": None, "status": "ok",
-               "bundle": None}
-        try:
-            bundle = design_wdrc(system, weights, nominal, lam, theta=theta)
-            row["rho"] = bundle.steady.rho
-            row["bound"] = float(theta * theta * row["lam"] + bundle.steady.rho)
-            row["bundle"] = bundle
-        except AssumptionViolated as exc:
-            row["status"] = "assumption: %s" % exc
-        except NoConvergence as exc:
-            row["status"] = "no-convergence: %s" % exc
-        rows.append(row)
-    return rows
+    with ``bundle`` the design at that penalty, or None for a rejected row.
+    The grid's designs run as one stack of lanes."""
+    return _grid_rows(system, weights, [nominal], theta, grid)[0]
 
 
-def _tune(system, weights, nominal, theta, grid=None):
-    """(rows, bundle, report): the grid curve in the order given, the design
-    at the bound-minimizing penalty, and its certified bound."""
+def _grid_rows(system, weights, nominals, theta, grid):
+    """evaluate_lambda_grid's rows for each nominal, every (nominal, penalty)
+    design a lane of one stack. A lane's AssumptionViolated or NoConvergence
+    becomes its row's status; any other exception is raised, the first in
+    nominal-then-penalty order, as designing one at a time would raise it."""
+    lanes = [_design(system, weights, nominal, lam, theta) for nominal in nominals for lam in grid]
+    outcomes = iter(_drive(lanes, _steady_coupling))
+    curves = []
+    for _ in nominals:
+        rows = []
+        for lam, outcome in zip(grid, outcomes):
+            row = {"lam": float(lam), "rho": None, "bound": None, "status": "ok",
+                   "bundle": None}
+            if isinstance(outcome, AssumptionViolated):
+                row["status"] = "assumption: %s" % outcome
+            elif isinstance(outcome, NoConvergence):
+                row["status"] = "no-convergence: %s" % outcome
+            else:
+                bundle = _unwrap(outcome)
+                row["rho"] = bundle.steady.rho
+                row["bound"] = float(theta * theta * row["lam"] + bundle.steady.rho)
+                row["bundle"] = bundle
+            rows.append(row)
+        curves.append(rows)
+    return curves
+
+
+def _tune(system, weights, nominals, theta, grid=None):
+    """Per nominal, (rows, bundle, report): the grid curve in the order given,
+    the design at the bound-minimizing penalty, and its certified bound; or
+    the NoAdmissibleLambda to raise when no grid point is admissible. All
+    nominals' grid designs run as one stack (see ``_grid_rows``)."""
     if not theta >= 0:
         raise ValueError("theta must be nonnegative")
     if grid is None:
         grid = default_lambda_grid(system, weights)
     if len(grid) == 0:
         raise ValueError("grid must be nonempty")
-    rows = evaluate_lambda_grid(system, weights, nominal, theta, grid)
-    ok = [r for r in rows if r["status"] == "ok"]
-    if not ok:
-        raise NoAdmissibleLambda(
-            "no admissible penalty on the grid [%g, %g] (%d points)"
-            % (min(grid), max(grid), len(grid))
-        )
-    best = min(ok, key=lambda r: (r["bound"], r["lam"]))
-    return rows, best["bundle"], guaranteed_bound(theta, best["lam"], best["rho"])
+    if len(nominals) == 1:  # the public call, so a wrapper of evaluate_lambda_grid sees the rows
+        curves = [evaluate_lambda_grid(system, weights, nominals[0], theta, grid)]
+    else:
+        curves = _grid_rows(system, weights, nominals, theta, grid)
+    tuned = []
+    for rows in curves:
+        ok = [r for r in rows if r["status"] == "ok"]
+        if not ok:
+            tuned.append(NoAdmissibleLambda(
+                "no admissible penalty on the grid [%g, %g] (%d points)"
+                % (min(grid), max(grid), len(grid))))
+            continue
+        best = min(ok, key=lambda r: (r["bound"], r["lam"]))
+        tuned.append((rows, best["bundle"], guaranteed_bound(theta, best["lam"], best["rho"])))
+    return tuned
 
 
 def tune_lambda(system, weights, nominal, theta, grid=None):
@@ -259,7 +297,7 @@ def tune_lambda(system, weights, nominal, theta, grid=None):
     Ties break toward the smaller penalty. Raises NoAdmissibleLambda when the
     whole grid fails the admissibility checks.
     """
-    _, _, report = _tune(system, weights, nominal, theta, grid)
+    _, _, report = _unwrap(_tune(system, weights, [nominal], theta, grid)[0])
     return report.lam, report
 
 

@@ -40,15 +40,16 @@ class BeliefState:
 
 
 def _measurement_update(x_prior, C, M):
-    """Posterior covariance, gain, and (I - gain C) for a prior covariance."""
+    """Posterior covariance, gain, and (I - gain C) for a prior covariance, or for
+    each prior in a stack (every matrix gets the arithmetic it gets alone)."""
     innov = sym(C @ x_prior @ C.T + M)
     try:
         np.linalg.cholesky(innov)
     except np.linalg.LinAlgError:
         raise WdrcError("innovation covariance C X C' + M is not positive definite")
-    gain = np.linalg.solve(innov, C @ x_prior).T
-    ikc = np.eye(x_prior.shape[0]) - gain @ C
-    x_post = sym(ikc @ x_prior @ ikc.T + gain @ M @ gain.T)
+    gain = np.linalg.solve(innov, C @ x_prior).swapaxes(-1, -2)
+    ikc = np.eye(x_prior.shape[-1]) - gain @ C
+    x_post = sym(ikc @ x_prior @ ikc.swapaxes(-1, -2) + gain @ M @ gain.swapaxes(-1, -2))
     return x_post, gain, ikc
 
 

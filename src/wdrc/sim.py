@@ -17,7 +17,7 @@ import numpy as np
 from ._linalg import spectral_radius
 from .ambiguity import bures_squared
 from .design import _stage, _tune, default_lambda_grid
-from .exceptions import AssumptionViolated, NoAdmissibleLambda, NoConvergence
+from .exceptions import AssumptionViolated, NoConvergence
 from .model import Gaussian, _as_vector, empirical_moments
 
 __all__ = [
@@ -127,7 +127,7 @@ def _simulate(bundles, seeds, horizon, truth, x0_model=None, v_model=None,
     noises from ``v_model`` (default N(0, M)). The estimator runs in steady
     mode with the bundle's gain, fed the method's disturbance mean; with
     ``worst_case`` the plant is driven by that mean as well. Returns (x,
-    x_hat, u, y, stage, penalized, terminal). The trajectories are stored
+    x_hat, u, y, stage, terminal). The trajectories are stored
     time-major, x[t] one contiguous (bundle, run, n) block, so the products
     with the shared A, B and C are single gemms; the costs are indexed
     (bundle, run, t) and the terminal cost (bundle, run).
@@ -182,18 +182,25 @@ def _simulate(bundles, seeds, horizon, truth, x0_model=None, v_model=None,
     terminal = _quadratic(x[T], weights.Qf)
     if not (np.all(np.isfinite(stage)) and np.all(np.isfinite(terminal))):
         raise ValueError("trace costs must be finite")
-    penalized = stage
-    if Ht is not None:
-        lam = np.array([[b.steady.lam] for b in bundles])
-        w_hat = np.stack([b.nominal.w_hat for b in bundles])[:, None]
-        pen_cov = np.array([[bures_squared(b.steady.Sigma_star, b.nominal.sigma_hat)]
-                            for b in bundles])
-        w_bar = x_hat[:T] @ Ht + G
-        penalized = stage - lam * (np.sum((w_bar - w_hat) ** 2, axis=-1) + pen_cov)
     # per-run costs contiguous in t, so each run's sums keep one summation order
-    stage, penalized = (np.ascontiguousarray(np.moveaxis(c, 0, -1))
-                        for c in (stage, penalized))
-    return x, x_hat, u, y, stage, penalized, terminal
+    return x, x_hat, u, y, np.ascontiguousarray(np.moveaxis(stage, 0, -1)), terminal
+
+
+def _penalized(bundles, x_hat, stage):
+    """Penalized stage cost of every run of ``_simulate``, indexed (bundle, run,
+    t): the stage cost minus lam times the squared moment distance of the
+    adversary's mean H x_hat + G and covariance Sigma* from the nominal. LQG has
+    no adversary, so its penalized cost is its stage cost."""
+    H, G = zip(*(_closed_loop(b)[2:] for b in bundles))
+    if H[0] is None:
+        return stage
+    lam = np.array([[b.steady.lam] for b in bundles])
+    w_hat = np.stack([b.nominal.w_hat for b in bundles])[:, None]
+    pen_cov = np.array([[bures_squared(b.steady.Sigma_star, b.nominal.sigma_hat)]
+                        for b in bundles])
+    w_bar = x_hat[:-1] @ np.stack(H).transpose(0, 2, 1) + np.stack(G)[:, None]
+    penalty = lam * (np.sum((w_bar - w_hat) ** 2, axis=-1) + pen_cov)
+    return np.ascontiguousarray(stage - np.moveaxis(penalty, 0, -1))
 
 
 def _put(target, draw, message):
@@ -205,20 +212,26 @@ def _put(target, draw, message):
 
 def _run_costs(bundles, seeds, horizon, truth, **kwargs):
     """(total cost, average cost, penalized average cost) of each run, each
-    indexed (bundle, run). A block holds whole bundles up to ``_BLOCK_RUNS``
-    runs; a bundle with more runs than that is split by runs."""
+    indexed (bundle, run); the penalized cost, which estimates rho under the
+    worst-case pair, only with ``worst_case`` (else None). A block holds whole
+    bundles up to ``_BLOCK_RUNS`` runs; a bundle with more runs than that is
+    split by runs."""
     runs = len(seeds[0])
     per_block, width = max(1, _BLOCK_RUNS // runs), min(runs, _BLOCK_RUNS)
-    totals, averages, penalized = (np.empty((len(bundles), runs)) for _ in range(3))
+    totals, averages = np.empty((len(bundles), runs)), np.empty((len(bundles), runs))
+    worst_case = kwargs.get("worst_case", False)
+    penalized = np.empty((len(bundles), runs)) if worst_case else None
     for i in range(0, len(bundles), per_block):
         for j in range(0, runs, width):
-            stage, pen, terminal = _simulate(
-                bundles[i:i + per_block], [s[j:j + width] for s in seeds[i:i + per_block]],
-                horizon, truth, **kwargs)[4:]  # no block's trajectories outlive it
+            block_bundles = bundles[i:i + per_block]
+            _, x_hat, _, _, stage, terminal = _simulate(
+                block_bundles, [s[j:j + width] for s in seeds[i:i + per_block]],
+                horizon, truth, **kwargs)  # no block's trajectories outlive it
             block = np.s_[i:i + per_block, j:j + width]
             totals[block] = stage.sum(axis=-1) + terminal
             averages[block] = stage.mean(axis=-1)
-            penalized[block] = pen.mean(axis=-1)
+            if worst_case:
+                penalized[block] = _penalized(block_bundles, x_hat, stage).mean(axis=-1)
     return totals, averages, penalized
 
 
@@ -230,8 +243,9 @@ def run_closed_loop(bundle, truth, horizon, seed, x0_model=None, v_model=None):
     models for deterministic runs). The estimator runs in steady mode with
     the bundle's gain, fed the method's disturbance mean each step.
     """
-    x, x_hat, u, y, stage, penalized, terminal = _simulate(
+    x, x_hat, u, y, stage, terminal = _simulate(
         [bundle], [[seed]], horizon, truth, x0_model=x0_model, v_model=v_model)
+    penalized = _penalized([bundle], x_hat, stage)
     return SimulationTrace(horizon=int(horizon), x=x[:, 0, 0], x_hat=x_hat[:, 0, 0],
                            u=u[:, 0, 0], y=y[:, 0, 0], stage_cost=stage[0, 0],
                            penalized_stage_cost=penalized[0, 0],
@@ -275,12 +289,15 @@ def out_of_sample_curve(system, weights, truth, sample_sizes, thetas, runs,
 
     Each cell repeats ``dataset_draws`` times: draw N training samples from
     the truth, build the empirical nominal, tune the penalty for the radius,
-    and design. The cell's designs are then simulated together, each draw's
-    ``runs`` under the truth with its own seed stream, so a draw's average
-    cost equals its ``monte_carlo_summary``. Reports the mean cost, the mean
-    certified bound, and the fraction of draws whose realized cost exceeded
-    their bound. Design failures are recorded per cell rather than raised and
-    not simulated; the grid's Riccati stages are shared.
+    and design. The cell's draws are tuned together: every (draw, grid
+    penalty) design is one lane of a single stacked covariance ascent, and
+    each lane's result equals its own ``design_wdrc``. The cell's designs are
+    then simulated together, each draw's ``runs`` under the truth with its own
+    seed stream, so a draw's average cost equals its ``monte_carlo_summary``.
+    Reports the mean cost, the mean certified bound, and the fraction of draws
+    whose realized cost exceeded their bound. Design failures are recorded per
+    cell rather than raised and not simulated; the grid's Riccati stages are
+    shared.
     """
     if not all(theta >= 0 for theta in thetas):
         raise ValueError("theta must be nonnegative")
@@ -296,23 +313,28 @@ def out_of_sample_curve(system, weights, truth, sample_sizes, thetas, runs,
     rows = []
     for i, n_samples in enumerate(sample_sizes):
         for j, theta in enumerate(thetas):
-            bundles, seeds, bounds, failures = [], [], [], 0
+            nominals = []
             for d in range(dataset_draws):
                 train_seed = np.random.SeedSequence(entropy=base.entropy,
                                                     spawn_key=(i, j, d, 0))
-                eval_seed = np.random.SeedSequence(entropy=base.entropy,
-                                                   spawn_key=(i, j, d, 1))
                 rng = np.random.default_rng(train_seed)
                 samples = np.atleast_2d(truth.sample(rng, int(n_samples)))
-                nominal = empirical_moments(samples, jitter=jitter)
-                try:
-                    _, bundle, report = _tune(system, weights, nominal, theta, grid)
-                except (AssumptionViolated, NoConvergence, NoAdmissibleLambda):
-                    failures += 1
+                nominals.append(empirical_moments(samples, jitter=jitter))
+            try:
+                tuned = _tune(system, weights, nominals, theta, grid)
+            except (AssumptionViolated, NoConvergence) as exc:  # from the default grid
+                tuned = [exc] * dataset_draws
+            bundles, seeds, bounds = [], [], []
+            for d, outcome in enumerate(tuned):
+                if isinstance(outcome, Exception):  # a recorded failure, not simulated
                     continue
+                _, bundle, report = outcome
+                eval_seed = np.random.SeedSequence(entropy=base.entropy,
+                                                   spawn_key=(i, j, d, 1))
                 bundles.append(bundle)
                 seeds.append(_spawn(eval_seed, runs))
                 bounds.append(report.bound)
+            failures = dataset_draws - len(bundles)
             costs = []
             if bundles:
                 _, averages, _ = _run_costs(bundles, seeds, horizon, truth,

@@ -1,6 +1,8 @@
 """Shared fixtures-in-spirit: reference instances, random admissible systems,
 and independent oracle implementations used by the tests."""
 
+import dataclasses
+
 import numpy as np
 import scipy.linalg
 
@@ -29,6 +31,15 @@ REF = dict(system=scalar_system(), weights=scalar_weights(), nominal=scalar_nomi
 
 ZERO_A = dict(system=scalar_system(a=0.0, m0_cov=0.0), weights=scalar_weights(),
               nominal=scalar_nominal(), lam=2.0)  # Sigma*=4, X-=4, X=0.8, rho=2
+
+
+def assert_same_design(got, alone):
+    """Two WDRC bundles agree in every field of the steady solution and in the
+    estimator gain, bit for bit."""
+    for field in dataclasses.fields(got.steady):
+        a, b = getattr(got.steady, field.name), getattr(alone.steady, field.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
+    assert np.array_equal(got.estimator_gain, alone.estimator_gain)
 
 
 def random_psd(rng, n, scale=1.0):

@@ -4,12 +4,17 @@ import pytest
 import wdrc
 from wdrc import (
     AssumptionViolated,
+    NoConvergence,
+    WorstCaseCovResult,
     bures_squared,
     gelbrich_distance,
     solve_filter_are,
     worst_case_cov_finite,
     worst_case_cov_steady,
 )
+from wdrc._linalg import dlyap, frobenius, sym
+from wdrc.ambiguity import _drive, _steady_coupling, _steady_lane
+from wdrc.estimator import _measurement_update
 from helpers import (
     ZERO_A,
     newton_sqrt,
@@ -250,3 +255,72 @@ class TestBuresSquared:
         cov = np.diag([1.0, 3.0])
         b2 = bures_squared(cov, hat)
         assert abs(b2 - ((1.0 - 1.0) ** 2 + 3.0)) < 1e-10
+
+
+def _stable_plant(rng, n):
+    """A stable n-state plant, a sensor with n - 2 outputs (at least one), PD noise."""
+    A = rng.standard_normal((n, n))
+    A *= 0.9 / max(abs(np.linalg.eigvals(A)))
+    n_y = max(1, n - 2)
+    C = rng.standard_normal((n_y, n))
+    M = random_psd(rng, n_y) + 0.5 * np.eye(n_y)
+    return A, C, M
+
+
+class TestStackedKernels:
+    """Each stack-aware kernel gives every matrix of a stack exactly what it
+    gives that matrix alone, so a lane's result cannot depend on its stack."""
+
+    @pytest.mark.parametrize("n", [1, 2, 20])
+    def test_stack_equals_single_calls(self, n):
+        rng = np.random.default_rng(100 + n)
+        k = 7
+        A, C, M = _stable_plant(rng, n)
+        priors = np.stack([random_psd(rng, n) + 0.1 * np.eye(n) for _ in range(k)])
+        loops = 0.3 * rng.standard_normal((k, n, n))
+        rhs = rng.standard_normal((k, n, n))
+
+        stacked = _measurement_update(priors, C, M)
+        for i in range(k):
+            for got, alone in zip(stacked, _measurement_update(priors[i], C, M)):
+                assert np.array_equal(got[i], alone)
+        assert np.array_equal(sym(rhs), np.stack([sym(r) for r in rhs]))
+        assert np.array_equal(dlyap(loops, rhs),
+                              np.stack([dlyap(g, w) for g, w in zip(loops, rhs)]))
+        noises = np.stack([random_psd(rng, n) + 0.1 * np.eye(n) for _ in range(k)])
+        starts = priors + np.eye(n)
+        fixed = wdrc.ambiguity._filter_fixpoint(A, C, M, noises, starts)
+        for i in range(k):
+            alone = wdrc.ambiguity._filter_fixpoint(A, C, M, noises[i], starts[i])
+            assert np.array_equal(fixed[i], alone)
+
+    @pytest.mark.parametrize("n", [2, 20])
+    def test_frobenius_matches_the_matrix_norm(self, n):
+        stack = np.random.default_rng(n).standard_normal((2000, n, n))
+        norms = frobenius(stack)
+        assert all(norms[i] == np.linalg.norm(m, "fro") for i, m in enumerate(stack))
+
+
+class TestLaneDriver:
+    def test_coupling_failure_lands_on_its_lane(self, monkeypatch):
+        # a tiny nominal covariance makes the filter fixed point slow (loop
+        # factor near a = 0.99), so only that lane hits a lowered iteration cap
+        # inside the stacked coupling; the stack is then evaluated lane by lane
+        monkeypatch.setattr(wdrc.ambiguity, "_FILTER_MAX_ITER", 400)
+        system = scalar_system(a=0.99)
+        S, P, lam = np.array([[0.5]]), np.array([[1.0]]), 4.0
+        sigma_hats = [np.array([[s]]) for s in (10.0, 1e-8, 3.0)]
+        lanes = [_steady_lane(system, S, P, sh, lam) for sh in sigma_hats]
+        outcomes = _drive(lanes, _steady_coupling)
+        assert [type(o) for o in outcomes] == [WorstCaseCovResult, NoConvergence,
+                                               WorstCaseCovResult]
+        for sigma_hat, outcome in zip(sigma_hats, outcomes):
+            try:
+                alone = worst_case_cov_steady(system, S, P, sigma_hat, lam)
+            except NoConvergence as exc:
+                assert str(outcome) == str(exc)
+                continue
+            for field in ("sigma_star", "x_cov", "x_prior"):
+                assert np.array_equal(getattr(outcome, field), getattr(alone, field))
+            assert (outcome.objective, outcome.kkt_residual, outcome.iterations) == (
+                alone.objective, alone.kkt_residual, alone.iterations)

@@ -25,6 +25,7 @@ from helpers import (
     REF,
     ZERO_A,
     admissible_lambda,
+    assert_same_design,
     dare_fixed_point,
     exact_rho,
     random_admissible,
@@ -251,7 +252,7 @@ class TestTuneLambda:
         theta = 0.05
         staged = [wdrc.design._stage(system, weights, lam) for lam in grid]
         for _ in range(2):  # a second nominal reuses the same stages
-            rows = wdrc.design._tune(system, weights, nominal, theta, staged)[0]
+            rows = wdrc.design._tune(system, weights, [nominal], theta, staged)[0][0]
             assert [r["lam"] for r in rows] == grid
             for row, lam in zip(rows, grid):
                 try:
@@ -269,6 +270,52 @@ class TestTuneLambda:
             nominal = wdrc.NominalMoments(w_hat=nominal.w_hat + 0.1,
                                           sigma_hat=2.0 * nominal.sigma_hat)
         assert {r["status"] == "ok" for r in rows} == {True, False}
+
+
+class TestLaneStack:
+    """Designs run as lanes of one stacked ascent; each lane's outcome is the one
+    it has when designed alone."""
+
+    def test_mixed_stack_records_each_lane_outcome(self):
+        system, weights = wdrc.synthetic_power_grid()
+        truth = wdrc.Gaussian(np.zeros(system.n_x), 0.01 * np.eye(system.n_x))
+        nominal = wdrc.empirical_moments(truth.sample(np.random.default_rng(0), 5), jitter=1e-8)
+        # REF at 1.5 fails assumption 1; on the grid plant one of 15394 and
+        # 30865 stalls (which one depends on the BLAS thread count)
+        cases = [(REF["system"], REF["weights"], REF["nominal"], lam, 0.1)
+                 for lam in (1.5, 4.0, 10.0)]
+        cases += [(system, weights, nominal, lam, 1e-3)
+                  for lam in (7678.130002062385, 15394.36657151753, 30865.13540075521)]
+        lanes = [wdrc.design._design(*case) for case in cases]
+        outcomes = wdrc.ambiguity._drive(lanes, wdrc.ambiguity._steady_coupling)
+        kinds = set()
+        for (sys_, w, nom, lam, theta), outcome in zip(cases, outcomes):
+            try:
+                alone = design_wdrc(sys_, w, nom, lam, theta=theta)
+            except (AssumptionViolated, wdrc.NoConvergence) as exc:
+                assert type(outcome) is type(exc) and str(outcome) == str(exc)
+                kinds.add(type(exc))
+                continue
+            assert_same_design(outcome, alone)
+        assert kinds == {AssumptionViolated, wdrc.NoConvergence}
+
+    def test_first_uncaught_exception_in_grid_order_propagates(self, monkeypatch):
+        params = wdrc.design.steady_state_policy_params
+        errors = {8.0: ValueError("first"), 16.0: TypeError("second")}
+
+        def failing(system, weights, nominal, lam, P):
+            if float(lam) in errors:
+                raise errors[float(lam)]
+            return params(system, weights, nominal, lam, P)
+
+        monkeypatch.setattr(wdrc.design, "steady_state_policy_params", failing)
+        args = REF["system"], REF["weights"], REF["nominal"], 0.1
+        with pytest.raises(ValueError, match="first"):
+            wdrc.evaluate_lambda_grid(*args, [1.5, 4.0, 8.0, 16.0])
+        with pytest.raises(TypeError, match="second"):
+            wdrc.evaluate_lambda_grid(*args, [1.5, 16.0, 4.0, 8.0])
+        rows = wdrc.evaluate_lambda_grid(*args, [1.5, 4.0])
+        assert [r["status"][:12] for r in rows] == ["assumption: ", "ok"]
 
 
 class TestRadiusFromSamples:

@@ -19,6 +19,7 @@ from wdrc.exceptions import NoAdmissibleLambda
 from helpers import (
     REF,
     ZERO_A,
+    assert_same_design,
     exact_total_cost,
     penalized_average_cost_loop,
     random_admissible,
@@ -350,21 +351,22 @@ class TestOutOfSampleCurve:
         assert rows[0]["mean_cost"] is None
 
     def test_designs_once_per_grid_point(self, monkeypatch):
+        # every design of a cell is a lane built by design._design: one per (draw, lam)
         calls = []
-        design = wdrc.design.design_wdrc
+        design = wdrc.design._design
 
         def counting(*args, **kwargs):
-            calls.append(args[3])
+            calls.append((id(args[2]), float(args[3])))
             return design(*args, **kwargs)
 
-        for module in (wdrc.design, wdrc.sim):
-            monkeypatch.setattr(module, "design_wdrc", counting, raising=False)
+        monkeypatch.setattr(wdrc.design, "_design", counting)
         grid = [4.0, 8.0, 16.0]
         rows = out_of_sample_curve(REF["system"], REF["weights"], Gaussian([0.0], [[1.0]]),
                                    [20], [0.05], runs=2, base_seed=3, dataset_draws=2,
                                    horizon=20, lambda_grid=grid)
         assert rows[0]["failures"] == 0
-        assert len(calls) == 2 * len(grid)
+        assert len(calls) == len(set(calls)) == 2 * len(grid)
+        assert sorted({lam for _, lam in calls}) == grid
 
     @pytest.mark.parametrize("grid", [[4.0, 8.0, 16.0], None])
     def test_solves_each_stage_once(self, monkeypatch, grid):
@@ -387,13 +389,13 @@ class TestOutOfSampleCurve:
 
     def test_negative_theta_rejected_before_any_design(self, monkeypatch):
         calls = []
-        design = wdrc.design.design_wdrc
+        design = wdrc.design._design
 
         def counting(*args, **kwargs):
             calls.append(args[3])
             return design(*args, **kwargs)
 
-        monkeypatch.setattr(wdrc.design, "design_wdrc", counting)
+        monkeypatch.setattr(wdrc.design, "_design", counting)
         with pytest.raises(ValueError, match="theta must be nonnegative"):
             out_of_sample_curve(REF["system"], REF["weights"], Gaussian([0.0], [[1.0]]),
                                 [20], [0.05, -0.1], runs=2, base_seed=3, dataset_draws=2,
@@ -464,13 +466,12 @@ class TestBatchedCell:
 
     def test_failed_draw_is_not_simulated(self, monkeypatch):
         truth, _, (_, seeds, costs) = self._curve(monkeypatch, 5, 7)
-        tune, tuned = wdrc.sim._tune, []
+        tune = wdrc.sim._tune
 
         def failing_third(*args):
-            tuned.append(None)
-            if len(tuned) == 3:
-                raise NoAdmissibleLambda("no admissible penalty")
-            return tune(*args)
+            outcomes = tune(*args)  # one per draw of the cell, tuned together
+            outcomes[2] = NoAdmissibleLambda("no admissible penalty")
+            return outcomes
 
         monkeypatch.setattr(wdrc.sim, "_tune", failing_third)
         _, row, (bundles, kept_seeds, kept_costs) = self._curve(monkeypatch, 5, 7)
@@ -479,6 +480,24 @@ class TestBatchedCell:
         keys = [[child.spawn_key for child in run_seeds] for run_seeds in kept_seeds]
         assert keys == [[child.spawn_key for child in run_seeds]
                         for run_seeds in seeds[:2] + seeds[3:]]
+
+    def test_lanes_are_independent_of_their_stack(self):
+        # small_oos's cell: 40 seed-0 training nominals x 8 penalties in one
+        # 320-lane stack; each lane equals the same (nominal, lam) designed alone
+        system, weights, truth = _small_oos_plant()
+        theta = wdrc.radius_from_samples(20, 2, 0.05)
+        grid = [wdrc.design._stage(system, weights, lam) for lam in np.geomspace(4.0, 1e4, 8)]
+        nominals = []
+        for d in range(40):
+            seed = np.random.SeedSequence(entropy=0, spawn_key=(0, 0, d, 0))
+            samples = truth.sample(np.random.default_rng(seed), 20)
+            nominals.append(wdrc.empirical_moments(samples, jitter=1e-8))
+        tuned = wdrc.design._tune(system, weights, nominals, theta, grid)
+        assert len(tuned) == 40
+        for nominal, (rows, _, _) in zip(nominals, tuned):
+            for row in rows:
+                alone = design_wdrc(system, weights, nominal, row["lam"], theta=theta)
+                assert_same_design(row["bundle"], alone)
 
     def test_row_values_are_builtin(self):
         system, weights, truth = _small_oos_plant()

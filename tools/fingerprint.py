@@ -12,6 +12,13 @@ so the same script can print an older commit's outputs; run it once per
 checkout and diff the two outputs. BLAS is pinned to one thread, as in
 ``bench/run.py``, because the reference values hold only with the pin.
 
+Per seed it also prints one SHA-256 over every design that the public
+``evaluate_lambda_grid`` makes on ``small_oos``'s grid for each of that
+workload's training nominals (the ones ``out_of_sample_curve`` draws for its
+cell) and on ``grid_tune``'s grid for its nominal: every array and number of
+an ok row's ``steady`` solution and its estimator gain, and a rejected row's
+status. A single design that drifts changes it, where a cell mean may not.
+
 It then runs the ``wdrc`` CLI's six modes, and ``simulate`` once more with
 ``method: LQG``, on one fixed 2-state config in a temporary directory, and
 prints each artifact's name in the order the CLI printed it with the SHA-256
@@ -26,6 +33,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -80,6 +88,39 @@ def _cli_artifacts():
                                                _artifact_sha256(written)))
 
 
+def _design_digests(workloads, seed):
+    """(label, row count, ok count, SHA-256) of the per-design digest of each workload."""
+    import numpy as np
+    import wdrc
+
+    oos = workloads["small_oos"].setup(seed, False)
+    nominals = []
+    for d in range(oos["draws"]):  # out_of_sample_curve's training draws for its one cell
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, 0, d, 0)))
+        samples = np.atleast_2d(oos["truth"].sample(rng, 20))
+        nominals.append(wdrc.empirical_moments(samples, jitter=1e-8))
+    tune = workloads["grid_tune"]
+    grid = tune.setup(seed, False)
+    cases = [("small_oos", oos["system"], oos["weights"], nominals, oos["theta"], oos["grid"]),
+             ("grid_tune", grid["system"], grid["weights"], [grid["nominal"]], tune.theta,
+              grid["grid"])]
+    for label, system, weights, nominal_list, theta, lams in cases:
+        digest, count, ok = hashlib.sha256(), 0, 0
+        for nominal in nominal_list:
+            for row in wdrc.evaluate_lambda_grid(system, weights, nominal, theta, lams):
+                count += 1
+                if row["bundle"] is None:
+                    digest.update(row["status"].encode())
+                    continue
+                ok += 1
+                steady = row["bundle"].steady
+                values = [getattr(steady, f.name) for f in dataclasses.fields(steady)]
+                for value in values + [row["bundle"].estimator_gain]:
+                    digest.update(repr(value).encode() if value is None
+                                  else np.ascontiguousarray(value, dtype=float).tobytes())
+        yield label, count, ok, digest.hexdigest()
+
+
 def _show(value):
     if isinstance(value, str):
         return "sha256:" + hashlib.sha256(value.encode()).hexdigest()
@@ -110,6 +151,10 @@ def main(argv=None):
             for row in out.get("rows", []):
                 print("%s seed %d row: %r %s %r" % (name, seed, row["lam"], row["status"],
                                                     row["rho"]))
+    for seed in args.seeds:
+        for label, count, ok, digest in _design_digests(WORKLOADS, seed):
+            print("designs %s seed %d: %d rows, %d ok, sha256:%s" % (label, seed, count, ok,
+                                                                   digest))
     _cli_artifacts()
     return 0
 
