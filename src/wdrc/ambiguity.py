@@ -13,12 +13,13 @@ noise Sigma, i.e. the pair
 
 The finite-horizon variant replaces the stationary coupling by
 X_prior = A X_t A' + Sigma with the current belief covariance X_t held
-fixed. Both are concave in Sigma (S >= 0 and lam I > P), and are solved
-here by projected gradient ascent on Sigma alone: the filter-constrained X
-is eliminated analytically at each iterate, the gradient of the trace-root
-term comes from an exact eigendecomposition, PSD feasibility is kept by
-eigenvalue clamping, and steps use Armijo halving so the objective sequence
-is nondecreasing by construction. A stationarity fixed-point candidate
+fixed. Both are concave in Sigma when S >= 0 and lam I > P (an indefinite S,
+as partially actuated plants give, leaves a certified stationary point), and
+are solved here by projected gradient ascent on Sigma alone: the
+filter-constrained X is eliminated analytically at each iterate, the gradient
+of the trace-root term comes from an exact eigendecomposition, PSD feasibility
+is kept by eigenvalue clamping, and steps use Armijo halving so the objective
+sequence is nondecreasing by construction. A stationarity fixed-point candidate
 
     Sigma <- lam^2 W^-1 Sh W^-1,   W = lam I - P - Omega(Sigma)
 
@@ -375,9 +376,8 @@ def _finite_coupling(lanes, sigmas):
 
 
 def _steady_lane(system, S_ss, P_ss, sigma_hat, lam):
-    """worst_case_cov_steady as a lane for ``_drive(lanes, _steady_coupling)``."""
+    """worst_case_cov_steady past assumption 1 as a lane for ``_drive(lanes, _steady_coupling)``."""
     A, C, M = system.A, system.C, system.M
-    _require_dominance(lam, P_ss, "for the covariance program")
     _check_psd_input(sigma_hat, "sigma_hat")
     if not is_detectable(A, C):  # the filter recursions below could never converge
         raise AssumptionViolated("4 (filter regularity)", "(A, C) is not detectable")
@@ -400,6 +400,7 @@ def worst_case_cov_steady(system, S_ss, P_ss, sigma_hat, lam):
     produce; the ascent then certifies a stationary point, not a global maximum.
     A design runs this as one lane of a stack (``_steady_lane``).
     """
+    _require_dominance(lam, P_ss, "for the covariance program")
     lane = _steady_lane(system, S_ss, P_ss, sigma_hat, lam)
     return _unwrap(_drive([lane], _steady_coupling)[0])
 

@@ -28,13 +28,7 @@ from .ambiguity import (
 )
 from .estimator import steady_gain
 from .exceptions import AssumptionViolated, NoAdmissibleLambda, NoConvergence
-from .riccati import (
-    SteadyStateSolution,
-    _offset,
-    compute_phi,
-    solve_are,
-    steady_state_policy_params,
-)
+from .riccati import SteadyStateSolution, _offset, _stage_at, _steady_policy, compute_phi, solve_are
 
 __all__ = [
     "BoundReport",
@@ -116,7 +110,7 @@ def evaluate_rho(steady, nominal):
 
 
 class _StagedPenalty(float):
-    """A penalty carrying (Phi, P_ss) or solve_are's rejection; arithmetic sees the penalty."""
+    """A penalty carrying its riccati._Stage or solve_are's rejection; arithmetic sees the penalty."""
 
     __slots__ = ("plant", "stage", "error")
 
@@ -128,7 +122,8 @@ def _stage(system, weights, lam):
     staged = _StagedPenalty(lam)
     staged.plant, staged.error = (system, weights), None
     try:
-        staged.stage = compute_phi(system, weights, staged).matrix, solve_are(system, weights, staged)
+        phi = compute_phi(system, weights, staged).matrix
+        staged.stage = _stage_at(system, weights, staged, phi, solve_are(system, weights, staged))[0]
     except (AssumptionViolated, NoConvergence) as exc:
         staged.error = exc, exc.__traceback__
     return staged
@@ -153,14 +148,13 @@ def _design(system, weights, nominal, lam, theta=None, seed=None):
     lam = _stage(system, weights, lam)
     if lam.error:
         raise lam.error[0].with_traceback(lam.error[1])
-    phi, P = lam.stage
-    params = steady_state_policy_params(system, weights, nominal, lam, P)
-    wc = yield from _steady_lane(system, params.S, P, nominal.sigma_hat, lam)
+    stage = lam.stage
+    r, K, L, H, G = _steady_policy(system, weights, nominal, lam, stage)
+    wc = yield from _steady_lane(system, stage.S, stage.P, nominal.sigma_hat, lam)
     steady = SteadyStateSolution(
         lam=float(lam), theta=None if theta is None else float(theta),
-        P=P, S=params.S, r=params.r, K=params.K, L=params.L, H=params.H,
-        G=params.G, Phi=phi, Sigma_star=wc.sigma_star, X_prior=wc.x_prior,
-        X_post=wc.x_cov, z=wc.objective, rho=0.0,
+        P=stage.P, S=stage.S, r=r, K=K, L=L, H=H, G=G, Phi=stage.phi,
+        Sigma_star=wc.sigma_star, X_prior=wc.x_prior, X_post=wc.x_cov, z=wc.objective, rho=0.0,
     )
     steady = dataclasses.replace(steady, rho=evaluate_rho(steady, nominal))
     gain = steady_gain(wc.x_cov, system, x_cov_prior=wc.x_prior)
@@ -241,6 +235,7 @@ def _grid_rows(system, weights, nominals, theta, grid):
     design a lane of one stack. A lane's AssumptionViolated or NoConvergence
     becomes its row's status; any other exception is raised, the first in
     nominal-then-penalty order, as designing one at a time would raise it."""
+    grid = [_stage(system, weights, lam) for lam in grid]
     lanes = [_design(system, weights, nominal, lam, theta) for nominal in nominals for lam in grid]
     outcomes = iter(_drive(lanes, _steady_coupling))
     curves = []

@@ -11,6 +11,7 @@ the horizon grows.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -114,6 +115,9 @@ class LambdaCheck(NamedTuple):
     passed: bool
     gap: float
     lam_max: float
+
+
+_Stage = namedtuple("_Stage", "phi P S inv1_PA T1 W")  # see _stage_at
 
 
 def compute_phi(system, weights, lam):
@@ -251,36 +255,44 @@ def solve_are(system, weights, lam):
     else:
         raise NoConvergence("value iteration for the steady-state equation hit %d iterations" % _ARE_MAX_ITER)
 
-    residual = np.linalg.norm(P - _riccati_step(A, Q, phi, lam, P, "at P_ss")[0], "fro")
+    stage, P_next = _stage_at(system, weights, lam, phi, P)
+    residual = np.linalg.norm(P - P_next, "fro")
     if residual >= _ARE_RESIDUAL_TOL:
         raise NoConvergence("steady-state equation residual %.3e above %.1e" % (residual, _ARE_RESIDUAL_TOL))
-    closed = np.linalg.solve((np.eye(system.n_x) + P @ phi).T, A).T  # A'(I + P Phi)^-1
-    if spectral_radius(closed) >= 1.0:
+    if spectral_radius(stage.W) >= 1.0:
         raise AssumptionViolated("3 (control regularity)", "penalized closed-loop map is not stable")
     return P
 
 
-def steady_state_policy_params(system, weights, nominal, lam, P_ss):
-    """Closed-form steady-state S, r and policy parameters K, L, H, G."""
-    A = system.A
-    eye = np.eye(system.n_x)
-    phi = compute_phi(system, weights, lam).matrix
-    w_hat = nominal.w_hat
-    inv1_PA = _riccati_step(A, weights.Q, phi, lam, P_ss, "at P_ss")[1]
+def _stage_at(system, weights, lam, phi, P):
+    """The nominal-free half of the steady policy at P, (Phi, P, S, (I + P Phi)^-1 P A,
+    T1 = I + P Phi, W = A'(I + P Phi)^-1), and the Riccati map's value there; tests
+    assumption 1 at P."""
+    P_next, inv1_PA = _riccati_step(system.A, weights.Q, phi, lam, P, "at P_ss")
+    T1 = np.eye(system.n_x) + P @ phi
+    S = sym(weights.Q + system.A.T @ P @ system.A - P)
+    return _Stage(phi, P, S, inv1_PA, T1, np.linalg.solve(T1.T, system.A).T), P_next
 
-    T1 = eye + P_ss @ phi
-    S = sym(weights.Q + A.T @ P_ss @ A - P_ss)
-    W = np.linalg.solve(T1.T, A).T  # A'(I + P Phi)^-1
+
+def _steady_policy(system, weights, nominal, lam, stage):
+    """The per-nominal half of the steady policy at a _Stage: the bias r, then K, L, H, G."""
+    P, W, w_hat = stage.P, stage.W, nominal.w_hat
     try:
-        r = np.linalg.solve(eye - W, W @ (P_ss @ w_hat))
+        r = np.linalg.solve(np.eye(system.n_x) - W, W @ (P @ w_hat))
     except np.linalg.LinAlgError:
         raise AssumptionViolated(
             "3 (control regularity)",
             "resolvent I - A'(I + P Phi)^-1 is singular; steady-state bias undefined",
         )
-    inv1_rw = np.linalg.solve(T1, r + P_ss @ w_hat)
-    K, L, H, G = _gains(A, system.B, weights.R, lam, w_hat, P_ss, r, inv1_PA, inv1_rw)
-    return SteadyPolicyParams(S=S, r=r, K=K, L=L, H=H, G=G)
+    inv1_rw = np.linalg.solve(stage.T1, r + P @ w_hat)
+    return (r,) + _gains(system.A, system.B, weights.R, lam, w_hat, P, r, stage.inv1_PA, inv1_rw)
+
+
+def steady_state_policy_params(system, weights, nominal, lam, P_ss):
+    """Closed-form steady-state S, r and policy parameters K, L, H, G."""
+    stage = _stage_at(system, weights, lam, compute_phi(system, weights, lam).matrix, P_ss)[0]
+    r, K, L, H, G = _steady_policy(system, weights, nominal, lam, stage)
+    return SteadyPolicyParams(S=stage.S, r=r, K=K, L=L, H=H, G=G)
 
 
 def check_lambda(lam, P, margin=0.0):

@@ -154,7 +154,7 @@ def _simulate(bundles, seeds, horizon, truth, x0_model=None, v_model=None,
             _put(x[1:, b, r], truth.sample(rng, T),
                  "disturbance model dimension mismatch with the plant")
             _put(y[:, b, r], v_model.sample(rng, T + 1),
-                 "disturbance model dimension mismatch with the plant")
+                 "measurement-noise model dimension mismatch with the plant")
 
     K, L, H, G = (None if part[0] is None else np.stack(part)
                   for part in zip(*map(_closed_loop, bundles)))

@@ -300,15 +300,15 @@ class TestLaneStack:
         assert kinds == {AssumptionViolated, wdrc.NoConvergence}
 
     def test_first_uncaught_exception_in_grid_order_propagates(self, monkeypatch):
-        params = wdrc.design.steady_state_policy_params
+        policy = wdrc.design._steady_policy
         errors = {8.0: ValueError("first"), 16.0: TypeError("second")}
 
-        def failing(system, weights, nominal, lam, P):
+        def failing(system, weights, nominal, lam, stage):
             if float(lam) in errors:
                 raise errors[float(lam)]
-            return params(system, weights, nominal, lam, P)
+            return policy(system, weights, nominal, lam, stage)
 
-        monkeypatch.setattr(wdrc.design, "steady_state_policy_params", failing)
+        monkeypatch.setattr(wdrc.design, "_steady_policy", failing)
         args = REF["system"], REF["weights"], REF["nominal"], 0.1
         with pytest.raises(ValueError, match="first"):
             wdrc.evaluate_lambda_grid(*args, [1.5, 4.0, 8.0, 16.0])

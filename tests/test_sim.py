@@ -123,6 +123,11 @@ class TestRunClosedLoop:
         with pytest.raises(ValueError, match="initial-state model dimension"):
             run_closed_loop(b, Gaussian([0.0], [[1.0]]), 5, 0, x0_model=_zero(2))
 
+    def test_measurement_noise_dimension_mismatch_named(self):
+        b = _ref_bundle()
+        with pytest.raises(ValueError, match="measurement-noise model dimension"):
+            run_closed_loop(b, Gaussian([0.0], [[1.0]]), 5, 0, v_model=_zero(2))
+
 
 class TestMonteCarloSummary:
     def test_deterministic_given_seed(self):
@@ -422,6 +427,16 @@ def _small_oos_plant():
     return system, weights, truth
 
 
+def _small_oos_nominals(truth):
+    """The 40 seed-0 training nominals of small_oos's one cell."""
+    nominals = []
+    for d in range(40):
+        seed = np.random.SeedSequence(entropy=0, spawn_key=(0, 0, d, 0))
+        samples = truth.sample(np.random.default_rng(seed), 20)
+        nominals.append(wdrc.empirical_moments(samples, jitter=1e-8))
+    return nominals
+
+
 class TestBatchedCell:
     """out_of_sample_curve simulates a cell's designs in one _run_costs call;
     each draw's cost must equal its own monte_carlo_summary."""
@@ -487,17 +502,33 @@ class TestBatchedCell:
         system, weights, truth = _small_oos_plant()
         theta = wdrc.radius_from_samples(20, 2, 0.05)
         grid = [wdrc.design._stage(system, weights, lam) for lam in np.geomspace(4.0, 1e4, 8)]
-        nominals = []
-        for d in range(40):
-            seed = np.random.SeedSequence(entropy=0, spawn_key=(0, 0, d, 0))
-            samples = truth.sample(np.random.default_rng(seed), 20)
-            nominals.append(wdrc.empirical_moments(samples, jitter=1e-8))
+        nominals = _small_oos_nominals(truth)
         tuned = wdrc.design._tune(system, weights, nominals, theta, grid)
         assert len(tuned) == 40
         for nominal, (rows, _, _) in zip(nominals, tuned):
             for row in rows:
                 alone = design_wdrc(system, weights, nominal, row["lam"], theta=theta)
                 assert_same_design(row["bundle"], alone)
+
+    @pytest.mark.parametrize("staged", [False, True], ids=["raw", "staged"])
+    def test_nominal_free_work_scales_with_the_grid(self, monkeypatch, staged):
+        # Phi, P and S read only the plant, the weights and the penalty, so a
+        # 40-nominal x 8-penalty tuning solves them per penalty, not per lane
+        system, weights, truth = _small_oos_plant()
+        grid = np.geomspace(4.0, 1e4, 8)
+        if staged:
+            grid = [wdrc.design._stage(system, weights, lam) for lam in grid]
+        compute_phi, calls = wdrc.riccati.compute_phi, []
+
+        def counting(*args):
+            calls.append(args)
+            return compute_phi(*args)
+
+        for module in (wdrc.riccati, wdrc.design):
+            monkeypatch.setattr(module, "compute_phi", counting)
+        tuned = wdrc.design._tune(system, weights, _small_oos_nominals(truth), 0.1, grid)
+        assert [len(rows) for rows, _, _ in tuned] == [8] * 40
+        assert len(calls) <= 2 * len(grid)
 
     def test_row_values_are_builtin(self):
         system, weights, truth = _small_oos_plant()

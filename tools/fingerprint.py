@@ -18,6 +18,13 @@ workload's training nominals (the ones ``out_of_sample_curve`` draws for its
 cell) and on ``grid_tune``'s grid for its nominal: every array and number of
 an ok row's ``steady`` solution and its estimator gain, and a rejected row's
 status. A single design that drifts changes it, where a cell mean may not.
+Two more SHA-256 per seed cover the Riccati layer's public closed forms:
+``steady_state_policy_params`` at ``solve_are``'s P on the scalar plant
+A = B = C = 1 (nominal mean 0.3, covariance 2, penalties 4, 10 and 1e3) and on
+``grid_tune``'s plant and nominal at each grid penalty (a rejected solve adds
+its message), and ``finite_horizon_recursion`` over 30 stages on that scalar
+plant at penalty 10 and on ``small_oos``'s plant and first training nominal at
+penalty 40.
 
 It then runs the ``wdrc`` CLI's six modes, and ``simulate`` once more with
 ``method: LQG``, on one fixed 2-state config in a temporary directory, and
@@ -88,17 +95,24 @@ def _cli_artifacts():
                                                _artifact_sha256(written)))
 
 
+def _oos_nominals(oos, seed):
+    """out_of_sample_curve's training nominals for small_oos's one cell."""
+    import numpy as np
+    import wdrc
+
+    for d in range(oos["draws"]):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, 0, d, 0)))
+        samples = np.atleast_2d(oos["truth"].sample(rng, 20))
+        yield wdrc.empirical_moments(samples, jitter=1e-8)
+
+
 def _design_digests(workloads, seed):
     """(label, row count, ok count, SHA-256) of the per-design digest of each workload."""
     import numpy as np
     import wdrc
 
     oos = workloads["small_oos"].setup(seed, False)
-    nominals = []
-    for d in range(oos["draws"]):  # out_of_sample_curve's training draws for its one cell
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, 0, d, 0)))
-        samples = np.atleast_2d(oos["truth"].sample(rng, 20))
-        nominals.append(wdrc.empirical_moments(samples, jitter=1e-8))
+    nominals = list(_oos_nominals(oos, seed))
     tune = workloads["grid_tune"]
     grid = tune.setup(seed, False)
     cases = [("small_oos", oos["system"], oos["weights"], nominals, oos["theta"], oos["grid"]),
@@ -119,6 +133,45 @@ def _design_digests(workloads, seed):
                     digest.update(repr(value).encode() if value is None
                                   else np.ascontiguousarray(value, dtype=float).tobytes())
         yield label, count, ok, digest.hexdigest()
+
+
+def _digest_arrays(digest, values):
+    import numpy as np
+
+    for value in values:
+        digest.update(np.ascontiguousarray(value, dtype=float).tobytes())
+
+
+def _riccati_digests(workloads, seed):
+    """(label, case count, SHA-256) of steady_state_policy_params and of
+    finite_horizon_recursion on their fixed cases."""
+    import wdrc
+
+    scalar = (wdrc.LinearSystem(A=[[1.0]], B=[[1.0]], C=[[1.0]], M=[[1.0]], m0=[0.0],
+                                M0=[[1.0]]),
+              wdrc.CostWeights(Q=[[1.0]], Qf=[[1.0]], R=[[1.0]]),
+              wdrc.NominalMoments(w_hat=[0.3], sigma_hat=[[2.0]]))
+    grid = workloads["grid_tune"].setup(seed, False)
+    steady = [scalar + (lam,) for lam in (4.0, 10.0, 1e3)]
+    steady += [(grid["system"], grid["weights"], grid["nominal"], lam) for lam in grid["grid"]]
+    digest = hashlib.sha256()
+    for system, weights, nominal, lam in steady:
+        try:
+            P = wdrc.solve_are(system, weights, lam)
+        except (wdrc.AssumptionViolated, wdrc.NoConvergence) as exc:
+            digest.update(str(exc).encode())
+            continue
+        _digest_arrays(digest, wdrc.steady_state_policy_params(system, weights, nominal, lam, P))
+    yield "steady_state_policy_params", len(steady), digest.hexdigest()
+
+    oos = workloads["small_oos"].setup(seed, False)
+    finite = [scalar + (10.0,),
+              (oos["system"], oos["weights"], next(_oos_nominals(oos, seed)), 40.0)]
+    digest = hashlib.sha256()
+    for system, weights, nominal, lam in finite:
+        sol = wdrc.finite_horizon_recursion(system, weights, nominal, lam, 30)
+        _digest_arrays(digest, [getattr(sol, f.name) for f in dataclasses.fields(sol)])
+    yield "finite_horizon_recursion", len(finite), digest.hexdigest()
 
 
 def _show(value):
@@ -155,6 +208,8 @@ def main(argv=None):
         for label, count, ok, digest in _design_digests(WORKLOADS, seed):
             print("designs %s seed %d: %d rows, %d ok, sha256:%s" % (label, seed, count, ok,
                                                                    digest))
+        for label, count, digest in _riccati_digests(WORKLOADS, seed):
+            print("riccati %s seed %d: %d cases, sha256:%s" % (label, seed, count, digest))
     _cli_artifacts()
     return 0
 
