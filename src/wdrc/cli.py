@@ -263,8 +263,8 @@ def _resolve_design(config, method="WDRC"):
                                      config.nominal, seed=config.seed), None
     if config.theta is not None:
         _, bundle, report = _unwrap(design_mod._tune(config.system, config.weights,
-                                                     [config.nominal], config.theta,
-                                                     config.lambda_grid)[0])
+                                                     config.nominal, config.theta,
+                                                     config.lambda_grid))
         bundle = replace(bundle, provenance=dict(bundle.provenance, seed=config.seed))
         return bundle, report
     bundle = design_mod.design_wdrc(config.system, config.weights,
@@ -353,8 +353,8 @@ def run_experiment(config, mode="simulate"):
         if config.theta is None:
             raise ConfigError("theta", "tune mode requires 'theta'")
         rows, _, report = _unwrap(design_mod._tune(config.system, config.weights,
-                                                   [config.nominal], config.theta,
-                                                   config.lambda_grid)[0])
+                                                   config.nominal, config.theta,
+                                                   config.lambda_grid))
         documents["tune.json"] = {
             "lambda_star": report.lam,
             "report": serialize.bound_to_dict(report),

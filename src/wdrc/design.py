@@ -109,24 +109,15 @@ def evaluate_rho(steady, nominal):
     return float(value + steady.z)
 
 
-class _StagedPenalty(float):
-    """A penalty carrying its riccati._Stage or solve_are's rejection; arithmetic sees the penalty."""
-
-    __slots__ = ("plant", "stage", "error")
-
-
 def _stage(system, weights, lam):
-    """``lam`` with design_wdrc's nominal-free half for this plant, solved unless it carries it."""
-    if isinstance(lam, _StagedPenalty) and lam.plant[0] is system and lam.plant[1] is weights:
-        return lam
-    staged = _StagedPenalty(lam)
-    staged.plant, staged.error = (system, weights), None
+    """(lam, riccati._Stage): design_wdrc's nominal-free half at penalty ``lam``,
+    or (lam, exc) for the AssumptionViolated or NoConvergence that rejects it."""
+    lam = float(lam)
     try:
-        phi = compute_phi(system, weights, staged).matrix
-        staged.stage = _stage_at(system, weights, staged, phi, solve_are(system, weights, staged))[0]
+        phi = compute_phi(system, weights, lam).matrix
+        return lam, _stage_at(system, weights, lam, phi, solve_are(system, weights, lam))[0]
     except (AssumptionViolated, NoConvergence) as exc:
-        staged.error = exc, exc.__traceback__
-    return staged
+        return lam, exc
 
 
 def design_wdrc(system, weights, nominal, lam, theta=None, seed=None):
@@ -137,22 +128,22 @@ def design_wdrc(system, weights, nominal, lam, theta=None, seed=None):
     carries. Raises AssumptionViolated or NoConvergence from the failing stage.
     The design is a stack of one lane (see ``_design``).
     """
-    lane = _design(system, weights, nominal, lam, theta, seed)
+    lane = _design(system, weights, nominal, _stage(system, weights, lam), theta, seed)
     return _unwrap(_drive([lane], _steady_coupling)[0])
 
 
-def _design(system, weights, nominal, lam, theta=None, seed=None):
-    """design_wdrc as a lane for ``ambiguity._drive(lanes, _steady_coupling)``:
-    a generator that passes on its covariance ascent's coupling requests and
-    returns the bundle."""
-    lam = _stage(system, weights, lam)
-    if lam.error:
-        raise lam.error[0].with_traceback(lam.error[1])
-    stage = lam.stage
+def _design(system, weights, nominal, staged, theta=None, seed=None):
+    """design_wdrc at a ``_stage`` entry, as a lane for ``ambiguity._drive(lanes,
+    _steady_coupling)``: a generator that passes on its ascent's coupling requests
+    and returns the bundle, or a rejected entry's exception unraised, so the lanes
+    sharing it keep the traceback it was caught with."""
+    lam, stage = staged
+    if isinstance(stage, Exception):
+        return stage
     r, K, L, H, G = _steady_policy(system, weights, nominal, lam, stage)
     wc = yield from _steady_lane(system, stage.S, stage.P, nominal.sigma_hat, lam)
     steady = SteadyStateSolution(
-        lam=float(lam), theta=None if theta is None else float(theta),
+        lam=lam, theta=None if theta is None else float(theta),
         P=stage.P, S=stage.S, r=r, K=K, L=L, H=H, G=G, Phi=stage.phi,
         Sigma_star=wc.sigma_star, X_prior=wc.x_prior, X_post=wc.x_cov, z=wc.objective, rho=0.0,
     )
@@ -227,23 +218,24 @@ def evaluate_lambda_grid(system, weights, nominal, theta, grid):
     not fatal. Returns a list of dict rows (lam, rho, bound, status, bundle),
     with ``bundle`` the design at that penalty, or None for a rejected row.
     The grid's designs run as one stack of lanes."""
-    return _grid_rows(system, weights, [nominal], theta, grid)[0]
+    stages = [_stage(system, weights, lam) for lam in grid]
+    return _grid_rows(system, weights, [nominal], theta, stages)[0]
 
 
-def _grid_rows(system, weights, nominals, theta, grid):
-    """evaluate_lambda_grid's rows for each nominal, every (nominal, penalty)
-    design a lane of one stack. A lane's AssumptionViolated or NoConvergence
-    becomes its row's status; any other exception is raised, the first in
-    nominal-then-penalty order, as designing one at a time would raise it."""
-    grid = [_stage(system, weights, lam) for lam in grid]
-    lanes = [_design(system, weights, nominal, lam, theta) for nominal in nominals for lam in grid]
+def _grid_rows(system, weights, nominals, theta, stages):
+    """evaluate_lambda_grid's rows for each nominal over ``stages``, the grid's
+    ``_stage`` entries in order, which all nominals share; every (nominal,
+    penalty) design is a lane of one stack. A lane's AssumptionViolated or
+    NoConvergence becomes its row's status; any other exception is raised, the
+    first in nominal-then-penalty order, as designing one at a time would raise it."""
+    lanes = [_design(system, weights, nominal, staged, theta)
+             for nominal in nominals for staged in stages]
     outcomes = iter(_drive(lanes, _steady_coupling))
     curves = []
     for _ in nominals:
         rows = []
-        for lam, outcome in zip(grid, outcomes):
-            row = {"lam": float(lam), "rho": None, "bound": None, "status": "ok",
-                   "bundle": None}
+        for (lam, _), outcome in zip(stages, outcomes):
+            row = {"lam": lam, "rho": None, "bound": None, "status": "ok", "bundle": None}
             if isinstance(outcome, AssumptionViolated):
                 row["status"] = "assumption: %s" % outcome
             elif isinstance(outcome, NoConvergence):
@@ -251,39 +243,36 @@ def _grid_rows(system, weights, nominals, theta, grid):
             else:
                 bundle = _unwrap(outcome)
                 row["rho"] = bundle.steady.rho
-                row["bound"] = float(theta * theta * row["lam"] + bundle.steady.rho)
+                row["bound"] = float(theta * theta * lam + bundle.steady.rho)
                 row["bundle"] = bundle
             rows.append(row)
         curves.append(rows)
     return curves
 
 
-def _tune(system, weights, nominals, theta, grid=None):
-    """Per nominal, (rows, bundle, report): the grid curve in the order given,
-    the design at the bound-minimizing penalty, and its certified bound; or
-    the NoAdmissibleLambda to raise when no grid point is admissible. All
-    nominals' grid designs run as one stack (see ``_grid_rows``)."""
+def _tuned(rows, theta):
+    """(rows, bundle, report) of a grid curve: the design at its bound-minimizing
+    ok row and its certified bound, or the NoAdmissibleLambda to raise when no
+    row is ok. Raises ValueError for an empty curve."""
+    if not rows:
+        raise ValueError("grid must be nonempty")
+    ok = [r for r in rows if r["status"] == "ok"]
+    if not ok:
+        lams = [r["lam"] for r in rows]
+        return NoAdmissibleLambda("no admissible penalty on the grid [%g, %g] (%d points)"
+                                  % (min(lams), max(lams), len(lams)))
+    best = min(ok, key=lambda r: (r["bound"], r["lam"]))
+    return rows, best["bundle"], guaranteed_bound(theta, best["lam"], best["rho"])
+
+
+def _tune(system, weights, nominal, theta, grid=None):
+    """``_tuned`` of the public ``evaluate_lambda_grid``'s curve over ``grid``
+    (default: ``default_lambda_grid``)."""
     if not theta >= 0:
         raise ValueError("theta must be nonnegative")
     if grid is None:
         grid = default_lambda_grid(system, weights)
-    if len(grid) == 0:
-        raise ValueError("grid must be nonempty")
-    if len(nominals) == 1:  # the public call, so a wrapper of evaluate_lambda_grid sees the rows
-        curves = [evaluate_lambda_grid(system, weights, nominals[0], theta, grid)]
-    else:
-        curves = _grid_rows(system, weights, nominals, theta, grid)
-    tuned = []
-    for rows in curves:
-        ok = [r for r in rows if r["status"] == "ok"]
-        if not ok:
-            tuned.append(NoAdmissibleLambda(
-                "no admissible penalty on the grid [%g, %g] (%d points)"
-                % (min(grid), max(grid), len(grid))))
-            continue
-        best = min(ok, key=lambda r: (r["bound"], r["lam"]))
-        tuned.append((rows, best["bundle"], guaranteed_bound(theta, best["lam"], best["rho"])))
-    return tuned
+    return _tuned(evaluate_lambda_grid(system, weights, nominal, theta, grid), theta)
 
 
 def tune_lambda(system, weights, nominal, theta, grid=None):
@@ -292,7 +281,7 @@ def tune_lambda(system, weights, nominal, theta, grid=None):
     Ties break toward the smaller penalty. Raises NoAdmissibleLambda when the
     whole grid fails the admissibility checks.
     """
-    _, _, report = _unwrap(_tune(system, weights, [nominal], theta, grid)[0])
+    _, _, report = _unwrap(_tune(system, weights, nominal, theta, grid))
     return report.lam, report
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._linalg import spectral_radius
 from .ambiguity import bures_squared
-from .design import _stage, _tune, default_lambda_grid
+from .design import _grid_rows, _stage, _tuned, default_lambda_grid
 from .exceptions import AssumptionViolated, NoConvergence
 from .model import Gaussian, _as_vector, empirical_moments
 
@@ -295,9 +295,10 @@ def out_of_sample_curve(system, weights, truth, sample_sizes, thetas, runs,
     then simulated together, each draw's ``runs`` under the truth with its own
     seed stream, so a draw's average cost equals its ``monte_carlo_summary``.
     Reports the mean cost, the mean certified bound, and the fraction of draws
-    whose realized cost exceeded their bound. Design failures are recorded per
-    cell rather than raised and not simulated; the grid's Riccati stages are
-    shared.
+    whose realized cost exceeded their bound. The grid (default:
+    ``default_lambda_grid``) is built and staged once per call, its stages
+    shared by every cell. Design failures, a failing default grid's included,
+    are recorded per draw rather than raised, and not simulated.
     """
     if not all(theta >= 0 for theta in thetas):
         raise ValueError("theta must be nonnegative")
@@ -305,10 +306,10 @@ def out_of_sample_curve(system, weights, truth, sample_sizes, thetas, runs,
         if size < 1:
             raise ValueError("%s must be >= 1, got %r" % (name, size))
     try:
-        grid = [_stage(system, weights, lam) for lam in (
+        stages = [_stage(system, weights, lam) for lam in (
             default_lambda_grid(system, weights) if lambda_grid is None else lambda_grid)]
-    except (AssumptionViolated, NoConvergence):
-        grid = None  # then each draw's own default grid fails and is recorded
+    except (AssumptionViolated, NoConvergence) as exc:  # from the default grid
+        stages = exc
     base = _seed_sequence(base_seed)
     rows = []
     for i, n_samples in enumerate(sample_sizes):
@@ -320,10 +321,11 @@ def out_of_sample_curve(system, weights, truth, sample_sizes, thetas, runs,
                 rng = np.random.default_rng(train_seed)
                 samples = np.atleast_2d(truth.sample(rng, int(n_samples)))
                 nominals.append(empirical_moments(samples, jitter=jitter))
-            try:
-                tuned = _tune(system, weights, nominals, theta, grid)
-            except (AssumptionViolated, NoConvergence) as exc:  # from the default grid
-                tuned = [exc] * dataset_draws
+            if isinstance(stages, Exception):
+                tuned = [stages] * dataset_draws
+            else:
+                tuned = [_tuned(curve, theta)
+                         for curve in _grid_rows(system, weights, nominals, theta, stages)]
             bundles, seeds, bounds = [], [], []
             for d, outcome in enumerate(tuned):
                 if isinstance(outcome, Exception):  # a recorded failure, not simulated

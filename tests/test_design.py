@@ -239,6 +239,25 @@ class TestTuneLambda:
             tune_lambda(REF["system"], REF["weights"], REF["nominal"], 0.1,
                         grid=[0.2, 0.5, 0.9])
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="grid must be nonempty"):
+            tune_lambda(REF["system"], REF["weights"], REF["nominal"], 0.1, grid=[])
+
+    def test_evaluates_its_grid_through_the_public_call(self, monkeypatch):
+        # a wrapper of evaluate_lambda_grid, such as the benchmark's row
+        # capture, sees the rows that tune_lambda picks from
+        calls = []
+        evaluate = wdrc.design.evaluate_lambda_grid
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(wdrc.design, "evaluate_lambda_grid", recording)
+        grid = [1.5, 4.0, 8.0]
+        tune_lambda(REF["system"], REF["weights"], REF["nominal"], 0.1, grid=grid)
+        assert len(calls) == 1 and calls[0][4] is grid
+
     @pytest.mark.parametrize("plant", ["ref", "random3"])
     def test_staged_rows_equal_design_wdrc(self, plant):
         # a grid staged once, as out_of_sample_curve shares it across draws,
@@ -250,9 +269,10 @@ class TestTuneLambda:
             system, weights, nominal = random_system(np.random.default_rng(31), 3)
             grid = list(wdrc.default_lambda_grid(system, weights, points=6))
         theta = 0.05
-        staged = [wdrc.design._stage(system, weights, lam) for lam in grid]
+        stages = [wdrc.design._stage(system, weights, lam) for lam in grid]
         for _ in range(2):  # a second nominal reuses the same stages
-            rows = wdrc.design._tune(system, weights, [nominal], theta, staged)[0][0]
+            curve = wdrc.design._grid_rows(system, weights, [nominal], theta, stages)[0]
+            rows = wdrc.design._tuned(curve, theta)[0]
             assert [r["lam"] for r in rows] == grid
             for row, lam in zip(rows, grid):
                 try:
@@ -286,7 +306,8 @@ class TestLaneStack:
                  for lam in (1.5, 4.0, 10.0)]
         cases += [(system, weights, nominal, lam, 1e-3)
                   for lam in (7678.130002062385, 15394.36657151753, 30865.13540075521)]
-        lanes = [wdrc.design._design(*case) for case in cases]
+        lanes = [wdrc.design._design(sys_, w, nom, wdrc.design._stage(sys_, w, lam), theta)
+                 for sys_, w, nom, lam, theta in cases]
         outcomes = wdrc.ambiguity._drive(lanes, wdrc.ambiguity._steady_coupling)
         kinds = set()
         for (sys_, w, nom, lam, theta), outcome in zip(cases, outcomes):
@@ -298,6 +319,19 @@ class TestLaneStack:
                 continue
             assert_same_design(outcome, alone)
         assert kinds == {AssumptionViolated, wdrc.NoConvergence}
+
+    def test_shared_rejection_keeps_its_traceback(self):
+        # lanes sharing a rejected stage return its exception unraised, so its
+        # traceback stays the one caught in solve_are, whatever the lane count
+        staged = wdrc.design._stage(REF["system"], REF["weights"], 1.5)
+        exc, tb = staged[1], staged[1].__traceback__
+        lanes = [wdrc.design._design(REF["system"], REF["weights"], REF["nominal"], staged)
+                 for _ in range(3)]
+        outcomes = wdrc.ambiguity._drive(lanes, wdrc.ambiguity._steady_coupling)
+        assert all(outcome is exc for outcome in outcomes) and exc.__traceback__ is tb
+        with pytest.raises(AssumptionViolated) as info:
+            design_wdrc(REF["system"], REF["weights"], REF["nominal"], 1.5)
+        assert "solve_are" in [entry.name for entry in info.traceback]
 
     def test_first_uncaught_exception_in_grid_order_propagates(self, monkeypatch):
         policy = wdrc.design._steady_policy

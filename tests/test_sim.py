@@ -361,7 +361,7 @@ class TestOutOfSampleCurve:
         design = wdrc.design._design
 
         def counting(*args, **kwargs):
-            calls.append((id(args[2]), float(args[3])))
+            calls.append((id(args[2]), args[3][0]))
             return design(*args, **kwargs)
 
         monkeypatch.setattr(wdrc.design, "_design", counting)
@@ -391,6 +391,31 @@ class TestOutOfSampleCurve:
                                    horizon=20, lambda_grid=grid)
         assert rows[0]["failures"] == 0
         assert len(calls) == (3 if grid else 41)
+
+    def test_failing_default_grid_is_built_once(self, monkeypatch):
+        # with Q = Qf = 0, (A, Q^1/2) is unobservable and the default grid's own
+        # solve fails: once per call, recorded for every draw of every cell
+        calls = []
+        build = wdrc.design.default_lambda_grid
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        for module in (wdrc.design, wdrc.sim):
+            monkeypatch.setattr(module, "default_lambda_grid", counting)
+        rows = out_of_sample_curve(scalar_system(), scalar_weights(q=0.0),
+                                   Gaussian([0.0], [[1.0]]), [10, 20], [0.05, 0.1], runs=2,
+                                   base_seed=3, dataset_draws=2, horizon=20)
+        assert len(calls) == 1
+        assert [row["failures"] for row in rows] == [2] * 4
+
+    def test_empty_grid_rejected_when_a_cell_is_tuned(self):
+        kwargs = dict(runs=2, base_seed=3, dataset_draws=2, horizon=20, lambda_grid=[])
+        args = REF["system"], REF["weights"], Gaussian([0.0], [[1.0]])
+        with pytest.raises(ValueError, match="grid must be nonempty"):
+            out_of_sample_curve(*args, [20], [0.05], **kwargs)
+        assert out_of_sample_curve(*args, [], [0.05], **kwargs) == []
 
     def test_negative_theta_rejected_before_any_design(self, monkeypatch):
         calls = []
@@ -481,14 +506,15 @@ class TestBatchedCell:
 
     def test_failed_draw_is_not_simulated(self, monkeypatch):
         truth, _, (_, seeds, costs) = self._curve(monkeypatch, 5, 7)
-        tune = wdrc.sim._tune
+        tuned, calls = wdrc.sim._tuned, []
 
-        def failing_third(*args):
-            outcomes = tune(*args)  # one per draw of the cell, tuned together
-            outcomes[2] = NoAdmissibleLambda("no admissible penalty")
-            return outcomes
+        def failing_third(*args):  # called once per draw of the cell, in draw order
+            calls.append(args)
+            if len(calls) == 3:
+                return NoAdmissibleLambda("no admissible penalty")
+            return tuned(*args)
 
-        monkeypatch.setattr(wdrc.sim, "_tune", failing_third)
+        monkeypatch.setattr(wdrc.sim, "_tuned", failing_third)
         _, row, (bundles, kept_seeds, kept_costs) = self._curve(monkeypatch, 5, 7)
         assert row["failures"] == 1 and len(bundles) == 6
         assert kept_costs == costs[:2] + costs[3:]
@@ -501,9 +527,10 @@ class TestBatchedCell:
         # 320-lane stack; each lane equals the same (nominal, lam) designed alone
         system, weights, truth = _small_oos_plant()
         theta = wdrc.radius_from_samples(20, 2, 0.05)
-        grid = [wdrc.design._stage(system, weights, lam) for lam in np.geomspace(4.0, 1e4, 8)]
+        stages = [wdrc.design._stage(system, weights, lam) for lam in np.geomspace(4.0, 1e4, 8)]
         nominals = _small_oos_nominals(truth)
-        tuned = wdrc.design._tune(system, weights, nominals, theta, grid)
+        tuned = [wdrc.design._tuned(rows, theta)
+                 for rows in wdrc.design._grid_rows(system, weights, nominals, theta, stages)]
         assert len(tuned) == 40
         for nominal, (rows, _, _) in zip(nominals, tuned):
             for row in rows:
@@ -516,8 +543,8 @@ class TestBatchedCell:
         # 40-nominal x 8-penalty tuning solves them per penalty, not per lane
         system, weights, truth = _small_oos_plant()
         grid = np.geomspace(4.0, 1e4, 8)
-        if staged:
-            grid = [wdrc.design._stage(system, weights, lam) for lam in grid]
+        stage = wdrc.design._stage
+        stages = [stage(system, weights, lam) for lam in grid] if staged else None
         compute_phi, calls = wdrc.riccati.compute_phi, []
 
         def counting(*args):
@@ -526,7 +553,9 @@ class TestBatchedCell:
 
         for module in (wdrc.riccati, wdrc.design):
             monkeypatch.setattr(module, "compute_phi", counting)
-        tuned = wdrc.design._tune(system, weights, _small_oos_nominals(truth), 0.1, grid)
+        stages = stages or [stage(system, weights, lam) for lam in grid]
+        curves = wdrc.design._grid_rows(system, weights, _small_oos_nominals(truth), 0.1, stages)
+        tuned = [wdrc.design._tuned(rows, 0.1) for rows in curves]
         assert [len(rows) for rows, _, _ in tuned] == [8] * 40
         assert len(calls) <= 2 * len(grid)
 
@@ -551,7 +580,8 @@ class TestBatchedCell:
     def test_bad_sizes_fail_before_any_tuning(self, monkeypatch, name, sizes):
         system, weights, truth = _small_oos_plant()
         tuned = []
-        monkeypatch.setattr(wdrc.sim, "_tune", lambda *args: tuned.append(args))
+        for tuning in ("_grid_rows", "_tuned"):
+            monkeypatch.setattr(wdrc.sim, tuning, lambda *args: tuned.append(args))
         kwargs = dict(dict(runs=4, dataset_draws=40, horizon=400), **sizes)
         with pytest.raises(ValueError, match=name):
             out_of_sample_curve(system, weights, truth, [20], [0.1], base_seed=0,

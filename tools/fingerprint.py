@@ -26,11 +26,12 @@ its message), and ``finite_horizon_recursion`` over 30 stages on that scalar
 plant at penalty 10 and on ``small_oos``'s plant and first training nominal at
 penalty 40.
 
-It then runs the ``wdrc`` CLI's six modes, and ``simulate`` once more with
-``method: LQG``, on one fixed 2-state config in a temporary directory, and
-prints each artifact's name in the order the CLI printed it with the SHA-256
-of its bytes (``summary.csv`` without its wall-time column). Nothing is
-written outside that directory.
+It then runs the ``wdrc`` CLI's six modes, ``simulate`` once more with
+``method: LQG``, ``sweep-theta`` once more with one dataset draw and ``tune``
+once more on the default grid, on one fixed 2-state config in a temporary
+directory, and prints each artifact's name in the order the CLI printed it
+with the SHA-256 of its bytes (``summary.csv`` without its wall-time column).
+Nothing is written outside that directory.
 """
 
 import os
@@ -65,7 +66,8 @@ CLI_CONFIG = {
 }
 CLI_RUNS = [(mode, {}) for mode in ("design", "simulate", "compare", "sweep-theta",
                                     "sweep-lambda", "tune")]
-CLI_RUNS.append(("simulate", {"method": "LQG"}))
+CLI_RUNS += [("simulate", {"method": "LQG"}), ("sweep-theta", {"dataset_draws": 1}),
+             ("tune", {"lambda_grid": None})]  # a one-draw cell; the default grid
 
 
 def _artifact_sha256(path):
