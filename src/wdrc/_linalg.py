@@ -1,5 +1,7 @@
 """Dense linear-algebra helpers shared by the solvers."""
 
+import math
+
 import numpy as np
 
 _COND_LIMIT = 1e12  # bound on cond(lam*I - P) certified by assumption 1, and on cond(R)
@@ -17,8 +19,23 @@ def frobenius(a):
     """Frobenius norm of each matrix of a stack, as np.linalg.norm(x, "fro") takes
     it for one matrix: the square root of one dot product of the flattened entries
     (np.linalg.norm over two axes can differ from it in the last bit)."""
-    flat = a.reshape(len(a), 1, -1)
+    flat = a.reshape(len(a), 1, math.prod(a.shape[1:]))
     return np.sqrt((flat @ flat.swapaxes(1, 2)).ravel())
+
+
+def matvec(a, x):
+    """a @ x for a matrix and a vector, or for each pair of a stack ((k, n) vectors)."""
+    return (a @ x[..., None])[..., 0]
+
+
+def solve_vec(a, b):
+    """np.linalg.solve(a, b) for a vector b, or for each pair of a stack."""
+    return np.linalg.solve(a, b[..., None])[..., 0]
+
+
+def dot(x, y):
+    """x @ y for two vectors, or for each pair of two stacks of vectors."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def spectral_radius(a):
@@ -26,7 +43,10 @@ def spectral_radius(a):
 
 
 def min_eigval(a):
-    return float(np.linalg.eigvalsh(sym(a))[0])
+    """Smallest eigenvalue of the symmetric part of a matrix (a float), or of each
+    matrix of a stack (an array)."""
+    w = np.linalg.eigvalsh(sym(a))[..., 0]
+    return float(w) if w.ndim == 0 else w
 
 
 def max_eigval(a):
@@ -41,19 +61,25 @@ def is_pd(a, tol=0.0):
     return min_eigval(a) > tol
 
 
+def _recompose(v, w):
+    """V diag(w) V' for an eigenbasis V and its eigenvalues w, or for each of a stack."""
+    return sym((v * w[..., None, :]) @ v.swapaxes(-1, -2))
+
+
 def psd_sqrt(a):
-    """Symmetric PSD square root via eigendecomposition, eigenvalues clamped at zero."""
+    """Symmetric PSD square root via eigendecomposition, eigenvalues clamped at zero,
+    of a matrix or of each matrix of a stack."""
     w, v = np.linalg.eigh(sym(np.asarray(a, dtype=float)))
-    return sym((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)
+    return _recompose(v, np.sqrt(np.clip(w, 0.0, None)))
 
 
 def psd_project(a):
-    """Nearest PSD matrix in Frobenius norm (negative eigenvalues clamped)."""
+    """Nearest PSD matrix in Frobenius norm (negative eigenvalues clamped), of a matrix
+    or of each matrix of a stack; a matrix that is already PSD is returned as it is."""
     a = sym(np.asarray(a, dtype=float))
     w, v = np.linalg.eigh(a)
-    if w[0] >= 0.0:
-        return a
-    return sym((v * np.clip(w, 0.0, None)) @ v.T)
+    psd = w[..., :1, None] >= 0.0
+    return a if psd.all() else np.where(psd, a, _recompose(v, np.clip(w, 0.0, None)))
 
 
 def dlyap(g, w):
@@ -78,14 +104,15 @@ def _unstable_eigvals(a, tol=1e-9):
 
 
 def is_stabilizable(a, b, tol=1e-9):
-    """PBH test: rank [A - zI, B] = n at every eigenvalue z of A with |z| >= 1."""
+    """PBH test: rank [A - zI, B] = n at every eigenvalue z of A with |z| >= 1; for a
+    stack of B, one answer per matrix of the stack."""
     n = a.shape[0]
     eye = np.eye(n)
+    stable = np.ones(b.shape[:-2], dtype=bool)
     for z in _unstable_eigvals(a, tol):
-        m = np.hstack([a - z * eye, b])
-        if np.linalg.matrix_rank(m) < n:
-            return False
-    return True
+        shift = np.broadcast_to(a - z * eye, b.shape[:-2] + (n, n))
+        stable &= np.linalg.matrix_rank(np.concatenate([shift, b], axis=-1)) >= n
+    return stable
 
 
 def is_detectable(a, c, tol=1e-9):

@@ -29,19 +29,23 @@ cuts the iteration count by orders of magnitude. The equivalent LMI form of
 the program is written out in the README for anyone who prefers to plug in
 an interior-point SDP solver instead.
 
-The ascent runs in lanes. ``_ascend`` is a generator that asks for each
-coupling evaluation with ``yield lane, Sigma``; ``_drive`` advances many such
-generators together and answers each round's requests of one plant with one
-stacked coupling call (a masked filter fixed point, a stacked measurement
-update and a blocked Kronecker Lyapunov solve). Each stacked kernel gives
-every matrix the arithmetic it gets alone, so a lane's result, or the
-exception it raises, does not depend on what it is stacked with. A single
-solve is a stack of one; a design (``design._design``) is a lane that wraps
-``_steady_lane``.
+The ascent runs over a stack of lanes of one plant (``_ascend``): each lane's
+iterate, step, stall count, iteration count and phase are arrays. Each round,
+every unfinished lane asks for one coupling evaluation (its start, its
+fixed-point candidate or its next backtracking trial), one stacked coupling
+call answers them all (a masked filter fixed point, a stacked measurement
+update and a blocked Kronecker Lyapunov solve), and each lane's decision is a
+mask over the stack; a lane that stops is frozen with its result or its
+exception. Each stacked kernel gives every matrix the arithmetic it gets
+alone, so a lane's result, or the exception it raises, does not depend on
+what it is stacked with; a stacked call that raises is run again lane by lane
+(``_by_lane``). A single solve is a stack of one; designs
+(``design._designs``) run ``_steady_lanes``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,17 +93,6 @@ class WorstCaseCovResult:
     iterations: int
 
 
-@dataclass
-class _Lane:
-    """Coupling data of one ascent: the plant, S, and the covariance the coupling
-    starts from (the stationary filter's warm start, moved to each evaluation's
-    fixed point, or the finite stage's propagated belief covariance)."""
-
-    system: object
-    S: np.ndarray
-    start: np.ndarray
-
-
 def _as_moments(m):
     if isinstance(m, NominalMoments):
         return m.w_hat, m.sigma_hat
@@ -107,10 +100,16 @@ def _as_moments(m):
     return np.asarray(mean, dtype=float).reshape(-1), np.asarray(cov, dtype=float)
 
 
+def _psd_input_errors(covs, name):
+    """The ValueError for each covariance of a stack that is not PSD, or None."""
+    return [ValueError("%s must be PSD (min eigenvalue %.3e)" % (name, w)) if w < -1e-10 else None
+            for w in min_eigval(covs)]
+
+
 def _check_psd_input(cov, name):
-    w = np.linalg.eigvalsh(sym(cov))
-    if w[0] < -1e-10:
-        raise ValueError("%s must be PSD (min eigenvalue %.3e)" % (name, w[0]))
+    error = _psd_input_errors(np.asarray(cov)[None], name)[0]
+    if error is not None:
+        raise error
 
 
 def bures_squared(cov_a, cov_b, sqrt_fn=None):
@@ -151,7 +150,8 @@ def gelbrich_distance(moments_a, moments_b, sqrt_fn=None):
 
 
 def _tr_sqrt_and_grad(sqrt_hat, sigma):
-    """Tr[(Sh^1/2 Sigma Sh^1/2)^1/2] and its gradient in Sigma.
+    """Tr[(Sh^1/2 Sigma Sh^1/2)^1/2] and its gradient in Sigma, for one pair or for
+    each pair of two stacks.
 
     The gradient is (1/2) Sh^1/2 H^-1/2 Sh^1/2 with H = Sh^1/2 Sigma Sh^1/2;
     eigenvalues of H at relative zero are excluded (pseudo-inverse), which
@@ -160,12 +160,10 @@ def _tr_sqrt_and_grad(sqrt_hat, sigma):
     h = sym(sqrt_hat @ sigma @ sqrt_hat)
     w, v = np.linalg.eigh(h)
     roots = np.sqrt(np.clip(w, 0.0, None))
-    value = float(roots.sum())
-    top = roots[-1] if roots.size else 0.0
-    cutoff = 1e-12 * top
+    cutoff = 1e-12 * roots[..., -1:]
     inv_half = np.where(roots > cutoff, 0.5 / np.maximum(roots, 1e-300), 0.0)
-    grad = sym(sqrt_hat @ ((v * inv_half) @ v.T) @ sqrt_hat)
-    return value, grad
+    grad = sym(sqrt_hat @ ((v * inv_half[..., None, :]) @ v.swapaxes(-1, -2)) @ sqrt_hat)
+    return roots.sum(axis=-1), grad
 
 
 def _require_dominance(lam, P, where):
@@ -206,138 +204,235 @@ def _filter_fixpoint(A, C, M, sigma, start):
     raise NoConvergence("filter covariance recursion hit %d iterations" % _FILTER_MAX_ITER)
 
 
-def _ascend(sigma_hat, P, lam, lane):
-    """Shared projected-ascent loop for one lane, as a generator: each coupling
-    evaluation is ``yield lane, Sigma``, answered with (Tr[S X], Omega, (X, X_prior))
-    for the variant being solved; returns the WorstCaseCovResult. ``_drive`` runs
-    many lanes together.
+def _by_lane(fn, lanes, fail):
+    """Run ``fn(lanes)``, one stacked call over an index array of lanes. If it raises,
+    run ``fn`` on each lane alone and pass every exception raised to ``fail(lane, exc)``.
+    The stacked kernels give each lane the arithmetic it gets alone, so the lanes that
+    do not raise end as they would have in the stacked call. ``fn`` writes its results
+    only after the last operation that can raise."""
+    if not len(lanes):
+        return
+    try:
+        fn(lanes)
+    except Exception:
+        for lane in lanes:
+            try:
+                fn(np.array([lane]))
+            except Exception as exc:  # the lane's own failure, for its caller to raise or record
+                fail(lane, exc)
+
+
+def _total(a):
+    """np.sum of each matrix of a stack, in the order np.sum takes for one matrix."""
+    return a.reshape(len(a), math.prod(a.shape[1:])).sum(axis=1)
+
+
+# The phase of an ascent lane: the three that wait for a coupling evaluation come first.
+_START, _CANDIDATE, _TRIAL, _SWEEP, _BACKTRACK, _END, _DONE = range(7)
+
+
+class _Ascent:
+    """Projected ascent of a stack of lanes on one plant; ``_ascend`` runs it.
+
+    Each lane holds its iterate (Sigma, f, g, Omega and the filter pair), its
+    residual, step, Armijo trial step, stall count, iteration count and phase.
+    Each round, every lane in one of the first three phases has asked for one
+    coupling evaluation at ``ask``: its start, its fixed-point candidate or its
+    next backtracking trial. One coupling call answers them all, and the phase
+    handlers then move every lane on by masks over the stack until it asks
+    again or is done, frozen with its WorstCaseCovResult or its exception.
+    """
+
+    def __init__(self, system, S, P, sigma_hat, lam, start, coupling):
+        k = len(lam)
+        self.system, self.coupling = system, coupling
+        self.S, self.P, self.sigma_hat, self.lam, self.start = S, P, sigma_hat, lam, start
+        self.eye = np.eye(P.shape[-1])
+        self.scale = np.maximum(1.0, lam)
+        self.outcomes = [None] * k
+        self.phase = np.full(k, _START)
+        self.iterations, self.stalled = np.zeros(k, dtype=int), np.zeros(k, dtype=int)
+        self.f, self.residual, self.step, self.t, self.tr_sx_ask = np.zeros((5, k))
+        (self.pm, self.sqrt_hat, self.range_proj, self.ask, self.sigma, self.g,
+         self.omega, self.x_cov, self.x_prior, self.omega_ask, self.x_cov_ask,
+         self.x_prior_ask) = np.zeros((12,) + P.shape)
+
+    def run(self):
+        handlers = ((_START, self._started), (_CANDIDATE, self._candidate), (_TRIAL, self._tried),
+                    (_SWEEP, self._sweep), (_BACKTRACK, self._backtrack), (_END, self._end))
+        self._each(self._init, np.arange(len(self.lam)))
+        while True:
+            asking = np.flatnonzero(self.phase <= _TRIAL)
+            if not len(asking):
+                return self.outcomes
+            self._each(self._evaluate, asking)
+            for phase, handler in handlers:
+                self._each(handler, np.flatnonzero(self.phase == phase))
+
+    def _each(self, handler, lanes):
+        _by_lane(handler, lanes, self._finish)
+
+    def _finish(self, i, outcome):
+        self.outcomes[i] = outcome
+        self.phase[i] = _DONE
+
+    def _lam(self, i):
+        return self.lam[i][:, None, None]
+
+    def _init(self, i):
+        """Per-lane constants, and the start Sigma = proj_psd(Sh). The gradient at a
+        candidate needs the projector onto the range of Sh: its basis is the
+        eigenvectors whose eigenvalues pass a relative cutoff, selected per lane
+        (lanes with one pattern at once), and multiplied by a separate copy of
+        itself (a matrix times its own transpose takes a different BLAS path)."""
+        sigma_hat = self.sigma_hat[i]
+        pm = sym(self.P[i]) - self._lam(i) * self.eye
+        sqrt_hat = psd_sqrt(sigma_hat)
+        w, v = np.linalg.eigh(sym(sigma_hat))
+        keep = w > 1e-12 * np.maximum(w[:, -1:], 0.0)
+        range_proj = np.empty_like(v)
+        for pattern in [keep[0]] if (keep == keep[0]).all() else np.unique(keep, axis=0):
+            same = (keep == pattern).all(axis=1)
+            range_proj[same] = sym(v[same][..., pattern] @ v[same][..., pattern].swapaxes(-1, -2))
+        self.ask[i] = psd_project(sigma_hat)
+        self.pm[i], self.sqrt_hat[i], self.range_proj[i] = pm, sqrt_hat, range_proj
+
+    def _evaluate(self, i):
+        """One coupling call for the lanes ``i`` at their asked Sigma."""
+        tr_sx, omega, x_cov, x_prior, start = self.coupling(self.system, self.S[i], self.start[i],
+                                                            self.ask[i])
+        self.tr_sx_ask[i], self.omega_ask[i], self.start[i] = tr_sx, omega, start
+        self.x_cov_ask[i], self.x_prior_ask[i] = x_cov, x_prior
+
+    def _objective(self, i):
+        """The objective at each lane's evaluated Sigma, and the trace root's gradient."""
+        t_val, t_grad = _tr_sqrt_and_grad(self.sqrt_hat[i], self.ask[i])
+        f = self.tr_sx_ask[i] + _total(self.pm[i] * self.ask[i]) + 2.0 * self.lam[i] * t_val
+        return f, t_grad
+
+    def _gradient(self, i, t_grad):
+        return sym(self.omega_ask[i] + self.pm[i] + 2.0 * self._lam(i) * t_grad)
+
+    def _mapping_residual(self, i, sigma, g):
+        return frobenius(psd_project(sigma + g) - sigma) / self.scale[i]
+
+    def _w_mat(self, i):
+        return sym(self._lam(i) * self.eye - self.P[i] - self.omega[i])
+
+    def _move(self, i, f, g, residual):
+        """Make each lane's evaluated Sigma its iterate."""
+        self.sigma[i], self.f[i], self.g[i], self.residual[i] = self.ask[i], f, g, residual
+        self.omega[i], self.x_cov[i], self.x_prior[i] = (
+            self.omega_ask[i], self.x_cov_ask[i], self.x_prior_ask[i])
+
+    def _started(self, i):
+        f, t_grad = self._objective(i)
+        g = self._gradient(i, t_grad)
+        residual = self._mapping_residual(i, self.ask[i], g)
+        self._move(i, f, g, residual)
+        self.step[i] = 1.0 / self.scale[i]
+        self.phase[i] = _SWEEP
+
+    def _sweep(self, i):
+        """Begin a sweep: stop at the residual tolerance or the iteration cap, else ask
+        for the stationarity fixed-point candidate lam^2 W^-1 Sh W^-1 where
+        W = lam I - P - Omega is PD, and backtrack from the gradient elsewhere."""
+        capped, i = i[self.iterations[i] == _ASCENT_MAX_ITER], i[self.iterations[i] < _ASCENT_MAX_ITER]
+        converged, i = i[self.residual[i] <= _ASCENT_TOL], i[self.residual[i] > _ASCENT_TOL]
+        w_mat = self._w_mat(i)
+        pd = min_eigval(w_mat) > 0.0
+        c, w_mat = i[pd], w_mat[pd]
+        half = np.linalg.solve(w_mat, self.sigma_hat[c])
+        cand = psd_project((self.lam[c] * self.lam[c])[:, None, None]
+                           * np.linalg.solve(w_mat, half.swapaxes(-1, -2)))
+        self.phase[capped] = _END
+        self.iterations[converged] += 1
+        for lane in converged:
+            self._finish(lane, self._result(lane))
+        self.iterations[i] += 1
+        self.ask[c], self.phase[c] = cand, _CANDIDATE
+        self._backtrack_from(i[~pd], self.step[i[~pd]])
+
+    def _backtrack_from(self, i, t):
+        self.t[i], self.phase[i] = t, _BACKTRACK
+
+    def _candidate(self, i):
+        """Keep a candidate that raises the objective, or that stays within noise of it
+        and cuts the residual by 10 %. At a candidate the gradient is taken as
+        Omega + P - lam I + R W R (R the range projector of Sh): the transport term's
+        gradient equals W there on that range, so this avoids the lam-scale
+        cancellation of the eigendecomposition form."""
+        f_c = self._objective(i)[0]
+        proj = self.range_proj[i]
+        g_c = sym(self.omega_ask[i] + self.pm[i] + proj @ self._w_mat(i) @ proj)
+        r_c = self._mapping_residual(i, self.ask[i], g_c)
+        f = self.f[i]
+        improved = f_c > f + 1e-15 * (1.0 + abs(f))
+        within_noise = f_c >= f - 1e-9 * (1.0 + abs(f))
+        take = improved | (within_noise & (r_c < 0.9 * self.residual[i]))
+        self._accept(i[take], f_c[take], g_c[take], r_c[take])
+        self._backtrack_from(i[~take], self.step[i[~take]])
+
+    def _backtrack(self, i):
+        """Armijo halving from the iterate along g: ask for the projected trial at step t,
+        unless t fell to 1e-20 or the trial moves Sigma by less than float resolution
+        (no improving step exists then)."""
+        exhausted, i = i[self.t[i] <= 1e-20], i[self.t[i] > 1e-20]
+        sigma = self.sigma[i]
+        trial = psd_project(sigma + self.t[i][:, None, None] * self.g[i])
+        tiny = frobenius(trial - sigma) <= 1e-15 * (1.0 + frobenius(sigma))
+        self.phase[exhausted] = _END
+        self.phase[i[tiny]] = _END
+        self.ask[i[~tiny]], self.phase[i[~tiny]] = trial[~tiny], _TRIAL
+
+    def _tried(self, i):
+        """Accept a trial with sufficient increase, doubling the next first step to 2t;
+        halve t otherwise."""
+        f_t, t_grad = self._objective(i)
+        drift = self.ask[i] - self.sigma[i]
+        take = f_t >= self.f[i] + 1e-4 * _total(self.g[i] * drift)
+        a = i[take]
+        g_t = self._gradient(a, t_grad[take])
+        self._accept(a, f_t[take], g_t, self._mapping_residual(a, self.ask[a], g_t))
+        self.step[a] = 2.0 * self.t[a]
+        self._backtrack_from(i[~take], 0.5 * self.t[i[~take]])
+
+    def _accept(self, i, f_new, g_new, r_new):
+        """Move to the new iterates; a lane that gains less than float resolution five
+        sweeps in a row stops."""
+        f = self.f[i]
+        assert np.all(f_new >= f - 1e-9 * (1.0 + abs(f))), "ascent objective must be nondecreasing"
+        stalled = np.where(f_new <= f + 1e-14 * (1.0 + abs(f)), self.stalled[i] + 1, 0)
+        self._move(i, f_new, g_new, r_new)
+        self.stalled[i] = stalled
+        self.phase[i] = np.where(stalled >= 5, _END, _SWEEP)
+
+    def _end(self, i):
+        for lane in i:
+            if self.residual[lane] <= _ASCENT_TOL:
+                self._finish(lane, self._result(lane))
+            else:
+                self._finish(lane, NoConvergence(
+                    "worst-case covariance ascent stalled at normalized residual %.3e after %d "
+                    "iterations" % (self.residual[lane], self.iterations[lane])))
+
+    def _result(self, i):
+        return WorstCaseCovResult(self.sigma[i].copy(), self.x_cov[i].copy(), self.x_prior[i].copy(),
+                                  float(self.f[i]), self.residual[i], int(self.iterations[i]))
+
+
+def _ascend(system, S, P, sigma_hat, lam, start, coupling):
+    """Shared projected-ascent loop for a stack of lanes of one plant: S, P, Sh and the
+    coupling starts stacked, lam one penalty per lane. ``coupling(system, S, start,
+    Sigma)`` answers a stack of evaluations with (Tr[S X], Omega, X, X_prior, next
+    start) for the variant being solved. Returns each lane's WorstCaseCovResult, or
+    the exception it raises alone.
 
     The stationarity residual is the projected-gradient mapping norm divided
     by max(1, lam): gradient entries are differences of O(lam) terms, so an
     absolute criterion is unreachable in doubles for large penalties.
-
-    At a stationarity fixed-point candidate Sigma+ = lam^2 W^-1 Sh W^-1 the
-    transport-term gradient equals W = lam I - P - Omega exactly on the range
-    of Sh, so the gradient there is computed as Omega(Sigma+) + pm + R W R
-    (R the range projector): a difference of small matrices, free of the
-    lam-scale cancellation that limits the generic eigendecomposition form.
     """
-    n = P.shape[0]
-    eye = np.eye(n)
-    pm = sym(P) - lam * eye
-    sqrt_hat = psd_sqrt(sigma_hat)
-    scale = max(1.0, lam)
-    w_hat_eig, v_hat = np.linalg.eigh(sym(np.asarray(sigma_hat, dtype=float)))
-    keep = w_hat_eig > 1e-12 * max(w_hat_eig[-1], 0.0)
-    range_proj = sym((v_hat[:, keep]) @ (v_hat[:, keep]).T)
-
-    def evaluate(sigma):
-        tr_sx, omega, covs = yield lane, sigma
-        t_val, t_grad = _tr_sqrt_and_grad(sqrt_hat, sigma)
-        f = tr_sx + float(np.sum(pm * sigma)) + 2.0 * lam * t_val
-        g = sym(omega + pm + 2.0 * lam * t_grad)
-        return f, g, covs, omega
-
-    def mapping_residual(sigma, g):
-        return np.linalg.norm(psd_project(sigma + g) - sigma, "fro") / scale
-
-    sigma = psd_project(sigma_hat)
-    f, g, covs, omega = yield from evaluate(sigma)
-    residual = mapping_residual(sigma, g)
-    step = 1.0 / scale
-    iterations = 0
-    stalled = 0
-    for iterations in range(1, _ASCENT_MAX_ITER + 1):
-        if residual <= _ASCENT_TOL:
-            return WorstCaseCovResult(sigma, *covs, f, residual, iterations)
-
-        new = None
-        w_mat = sym(lam * eye - P - omega)
-        if min_eigval(w_mat) > 0.0:
-            half = np.linalg.solve(w_mat, sigma_hat)
-            cand = psd_project(lam * lam * np.linalg.solve(w_mat, half.T))
-            tr_sx_c, omega_c, x_c = yield lane, cand
-            t_val_c = _tr_sqrt_and_grad(sqrt_hat, cand)[0]
-            fc = tr_sx_c + float(np.sum(pm * cand)) + 2.0 * lam * t_val_c
-            gc = sym(omega_c + pm + range_proj @ w_mat @ range_proj)
-            rc = mapping_residual(cand, gc)
-            improved = fc > f + 1e-15 * (1.0 + abs(f))
-            within_noise = fc >= f - 1e-9 * (1.0 + abs(f))
-            if improved or (within_noise and rc < 0.9 * residual):
-                new = (cand, fc, gc, x_c, omega_c, rc)
-
-        if new is None:
-            t = step
-            while t > 1e-20:
-                trial = psd_project(sigma + t * g)
-                drift = trial - sigma
-                if np.linalg.norm(drift, "fro") <= 1e-15 * (1.0 + np.linalg.norm(sigma, "fro")):
-                    break
-                ft, gt, xt, ot = yield from evaluate(trial)
-                if ft >= f + 1e-4 * float(np.sum(g * drift)):
-                    new = (trial, ft, gt, xt, ot, mapping_residual(trial, gt))
-                    step = 2.0 * t
-                    break
-                t *= 0.5
-
-        if new is None:
-            break  # no improving step exists at float resolution
-        assert new[1] >= f - 1e-9 * (1.0 + abs(f)), "ascent objective must be nondecreasing"
-        stalled = stalled + 1 if new[1] <= f + 1e-14 * (1.0 + abs(f)) else 0
-        sigma, f, g, covs, omega, residual = new
-        if stalled >= 5:
-            break  # progress below float resolution several sweeps in a row
-
-    if residual <= _ASCENT_TOL:
-        return WorstCaseCovResult(sigma, *covs, f, residual, iterations)
-    raise NoConvergence(
-        "worst-case covariance ascent stalled at normalized residual %.3e after %d iterations"
-        % (residual, iterations)
-    )
-
-
-def _drive(lanes, coupling):
-    """Run lane generators together; returns each one's outcome, its return
-    value or the exception it raised.
-
-    Each round takes the (lane, Sigma) request of every unfinished generator,
-    answers the requests of each plant with one stacked ``coupling(lanes,
-    sigmas)`` call, and sends every generator its own reply. The stacked
-    kernels give each lane the arithmetic it gets alone, so no outcome depends
-    on the other lanes. When a stacked call raises, its lanes are evaluated
-    one at a time, and a failed evaluation is raised inside its own generator.
-    """
-    outcomes = [None] * len(lanes)
-    replies = dict.fromkeys(range(len(lanes)), (None, None))
-    while replies:
-        plants = {}
-        for i, (reply, error) in replies.items():
-            try:
-                lane, sigma = lanes[i].send(reply) if error is None else lanes[i].throw(error)
-            except StopIteration as stop:
-                outcomes[i] = stop.value
-            except Exception as exc:  # the lane's own failure, for its caller to raise or record
-                outcomes[i] = exc
-            else:
-                plants.setdefault(id(lane.system), []).append((i, lane, sigma))
-        replies = {}
-        for group in plants.values():
-            index, group_lanes, sigmas = zip(*group)
-            try:
-                answers = [(answer, None) for answer in coupling(group_lanes, sigmas)]
-            except Exception:
-                answers = [_alone(coupling, lane, sigma)
-                           for lane, sigma in zip(group_lanes, sigmas)]
-            replies.update(zip(index, answers))
-    return outcomes
-
-
-def _alone(coupling, lane, sigma):
-    """(reply, None) or (None, exception) of one lane's coupling evaluation."""
-    try:
-        return coupling([lane], [sigma])[0], None
-    except Exception as exc:
-        return None, exc
+    return _Ascent(system, S, P, sigma_hat, lam, start, coupling).run()
 
 
 def _unwrap(outcome):
@@ -347,44 +442,52 @@ def _unwrap(outcome):
     return outcome
 
 
-def _steady_coupling(lanes, sigmas):
-    """(Tr[S X], Omega, (X, X_prior)) per lane of one plant: X_prior the stationary
-    filter fixed point under noise Sigma from the lane's warm start, which then
-    moves to it, and Omega = dlyap(A (I - K C), (I - K C)' S (I - K C))."""
-    system = lanes[0].system
+def _steady_coupling(system, S, start, sigma):
+    """(Tr[S X], Omega, X, X_prior, next start) per lane of one plant: X_prior the
+    stationary filter fixed point under noise Sigma from the lane's warm start, which
+    then moves to it, and Omega = dlyap(A (I - K C), (I - K C)' S (I - K C))."""
     A, C, M = system.A, system.C, system.M
-    S = np.array([lane.S for lane in lanes])
-    x_prior = _filter_fixpoint(A, C, M, np.array(sigmas), np.array([lane.start for lane in lanes]))
+    x_prior = _filter_fixpoint(A, C, M, sigma, start)
     x_post, _, ikc = _measurement_update(x_prior, C, M)
     omega = dlyap(A @ ikc, sym(ikc.swapaxes(-1, -2) @ S @ ikc))
-    tr_sx = np.sum(S * x_post, axis=(-2, -1))
-    for lane, start in zip(lanes, x_prior):
-        lane.start = start
-    return [(float(t), o, (xp, xq)) for t, o, xp, xq in zip(tr_sx, omega, x_post, x_prior)]
+    return np.sum(S * x_post, axis=(-2, -1)), omega, x_post, x_prior, x_prior
 
 
-def _finite_coupling(lanes, sigmas):
-    """(Tr[S X], Omega, (X, X_prior)) per lane of one plant with X_prior = the
+def _finite_coupling(system, S, start, sigma):
+    """(Tr[S X], Omega, X, X_prior, start) per lane of one plant with X_prior = the
     lane's propagated belief covariance + Sigma, and Omega = (I - K C)' S (I - K C)."""
-    system = lanes[0].system
-    S = np.array([lane.S for lane in lanes])
-    x_prior = sym(np.array([lane.start for lane in lanes]) + np.array(sigmas))
+    x_prior = sym(start + sigma)
     x_post, _, ikc = _measurement_update(x_prior, system.C, system.M)
     omega = sym(ikc.swapaxes(-1, -2) @ S @ ikc)
-    tr_sx = np.sum(S * x_post, axis=(-2, -1))
-    return [(float(t), o, (xp, xq)) for t, o, xp, xq in zip(tr_sx, omega, x_post, x_prior)]
+    return np.sum(S * x_post, axis=(-2, -1)), omega, x_post, x_prior, start
 
 
-def _steady_lane(system, S_ss, P_ss, sigma_hat, lam):
-    """worst_case_cov_steady past assumption 1 as a lane for ``_drive(lanes, _steady_coupling)``."""
+def _steady_lanes(system, S, P, sigma_hat, lam):
+    """worst_case_cov_steady past assumption 1 for a stack of lanes of one plant (S, P
+    and Sh stacked, one lam per lane): each lane's WorstCaseCovResult, or the exception
+    it raises alone. The plant-only detectability test runs once per stack, and a lane
+    meets it where a lone solve would, after its own Sh check."""
     A, C, M = system.A, system.C, system.M
-    _check_psd_input(sigma_hat, "sigma_hat")
-    if not is_detectable(A, C):  # the filter recursions below could never converge
-        raise AssumptionViolated("4 (filter regularity)", "(A, C) is not detectable")
-    start = sym(np.asarray(sigma_hat, dtype=float)) + np.eye(system.n_x)
-    result = yield from _ascend(sigma_hat, P_ss, lam, _Lane(system, sym(S_ss), start))
-    _certified_filter_pair(A, C, M, result.sigma_star, result.x_prior)
-    return result
+    sigma_hat = np.asarray(sigma_hat, dtype=float)
+    outcomes = _psd_input_errors(sigma_hat, "sigma_hat")
+    lanes = np.array([i for i, error in enumerate(outcomes) if error is None], dtype=int)
+    if len(lanes) and not is_detectable(A, C):  # the filter recursions could never converge
+        for i in lanes:
+            outcomes[i] = AssumptionViolated("4 (filter regularity)", "(A, C) is not detectable")
+        return outcomes
+    start = sym(sigma_hat[lanes]) + np.eye(system.n_x)
+    results = _ascend(system, sym(S[lanes]), P[lanes], sigma_hat[lanes], lam[lanes], start,
+                      _steady_coupling)
+    for i, outcome in zip(lanes, results):
+        outcomes[i] = outcome
+    solved = np.array([i for i in lanes if isinstance(outcomes[i], WorstCaseCovResult)], dtype=int)
+
+    def certify(i):
+        _certified_filter_pair(A, C, M, np.array([outcomes[j].sigma_star for j in i]),
+                               np.array([outcomes[j].x_prior for j in i]))
+
+    _by_lane(certify, solved, outcomes.__setitem__)
+    return outcomes
 
 
 def worst_case_cov_steady(system, S_ss, P_ss, sigma_hat, lam):
@@ -398,11 +501,11 @@ def worst_case_cov_steady(system, S_ss, P_ss, sigma_hat, lam):
     over max(1, lam)) is at most 1e-7. S_ss is nominally PSD but is accepted
     with the O(|P|^2/lam) negative part that partially actuated plants
     produce; the ascent then certifies a stationary point, not a global maximum.
-    A design runs this as one lane of a stack (``_steady_lane``).
+    This is a stack of one lane of ``_steady_lanes``, which designs run.
     """
     _require_dominance(lam, P_ss, "for the covariance program")
-    lane = _steady_lane(system, S_ss, P_ss, sigma_hat, lam)
-    return _unwrap(_drive([lane], _steady_coupling)[0])
+    lane = [np.asarray(a, dtype=float)[None] for a in (S_ss, P_ss, sigma_hat, lam)]
+    return _unwrap(_steady_lanes(system, *lane)[0])
 
 
 def worst_case_cov_finite(system, S_next, P_next, sigma_hat, lam, x_cov):
@@ -417,18 +520,21 @@ def worst_case_cov_finite(system, S_next, P_next, sigma_hat, lam, x_cov):
     _require_dominance(lam, P_next, "for the covariance program")
     _check_psd_input(sigma_hat, "sigma_hat")
     propagated = sym(A @ sym(np.asarray(x_cov, dtype=float)) @ A.T)
-    lane = _ascend(sigma_hat, P_next, lam, _Lane(system, sym(S_next), propagated))
-    return _unwrap(_drive([lane], _finite_coupling)[0])
+    S, P, sigma_hat, lam = [np.asarray(a, dtype=float)[None] for a in (S_next, P_next, sigma_hat, lam)]
+    return _unwrap(_ascend(system, sym(S), P, sigma_hat, lam, propagated[None], _finite_coupling)[0])
 
 
 def _certified_filter_pair(A, C, M, sigma, x_prior):
-    """solve_filter_are's checks past detectability; ``x_prior`` None iterates from zero."""
-    if not is_stabilizable(A, psd_sqrt(psd_project(sigma))):
+    """solve_filter_are's checks past detectability, for one filter pair or for a stack
+    of them (raising for the first check any of them fails); ``x_prior`` None iterates
+    from zero."""
+    if not np.all(is_stabilizable(A, psd_sqrt(psd_project(sigma)))):
         raise AssumptionViolated("4 (filter regularity)", "(A, Sigma^1/2) is not stabilizable")
     if x_prior is None:
         x_prior = _filter_fixpoint(A, C, M, sigma, np.zeros_like(sigma))
     x_post = _measurement_update(x_prior, C, M)[0]
-    residual = np.linalg.norm(x_prior - sym(A @ x_post @ A.T + sigma), "fro")
+    n = A.shape[0]
+    residual = frobenius((x_prior - sym(A @ x_post @ A.T + sigma)).reshape(-1, n, n)).max()
     if residual > _FILTER_RESIDUAL_TOL:
         raise NoConvergence("filter stationary-equation residual %.3e above %.1e"
                             % (residual, _FILTER_RESIDUAL_TOL))

@@ -9,7 +9,6 @@ plugs the nominal moments directly into both the controller and the estimator.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass
 from typing import Optional
@@ -18,17 +17,18 @@ import numpy as np
 import scipy.linalg
 
 from ._linalg import is_detectable, is_stabilizable, max_eigval, psd_sqrt, sym
-from .ambiguity import (
-    _drive,
-    _steady_coupling,
-    _steady_lane,
-    _unwrap,
-    bures_squared,
-    solve_filter_are,
-)
+from .ambiguity import _by_lane, _steady_lanes, _unwrap, bures_squared, solve_filter_are
 from .estimator import steady_gain
 from .exceptions import AssumptionViolated, NoAdmissibleLambda, NoConvergence
-from .riccati import SteadyStateSolution, _offset, _stage_at, _steady_policy, compute_phi, solve_are
+from .riccati import (
+    SteadyStateSolution,
+    _offset,
+    _Stage,
+    _stage_at,
+    _steady_policy,
+    compute_phi,
+    solve_are,
+)
 
 __all__ = [
     "BoundReport",
@@ -104,9 +104,14 @@ def evaluate_rho(steady, nominal):
     rho = (2 w_hat - Phi r)'(I + P Phi)^-1 r - lam Tr[Sigma_hat]
           + w_hat'(I + P Phi)^-1 P w_hat + z.
     """
-    value = _offset(steady.P, steady.Phi, steady.lam, nominal.w_hat,
-                    float(np.trace(nominal.sigma_hat)), steady.r)[0]
-    return float(value + steady.z)
+    return float(_rho(steady.P, steady.Phi, steady.lam, nominal.w_hat, nominal.sigma_hat,
+                      steady.r, steady.z))
+
+
+def _rho(P, phi, lam, w_hat, sigma_hat, r, z):
+    """evaluate_rho for one design or for each design of a stack."""
+    tr_sigma_hat = np.trace(sigma_hat, axis1=-2, axis2=-1)
+    return _offset(P, phi, lam, w_hat, tr_sigma_hat, r)[0] + z
 
 
 def _stage(system, weights, lam):
@@ -126,34 +131,90 @@ def design_wdrc(system, weights, nominal, lam, theta=None, seed=None):
     Pipeline: steady-state Riccati solve, policy parameters, and the worst-case
     covariance program, whose certified stationary filter pair the bundle
     carries. Raises AssumptionViolated or NoConvergence from the failing stage.
-    The design is a stack of one lane (see ``_design``).
+    The design is a stack of one lane (see ``_designs``).
     """
-    lane = _design(system, weights, nominal, _stage(system, weights, lam), theta, seed)
-    return _unwrap(_drive([lane], _steady_coupling)[0])
+    lane = (nominal, _stage(system, weights, lam))
+    return _unwrap(_designs(system, weights, [lane], theta, seed)[0])
 
 
-def _design(system, weights, nominal, staged, theta=None, seed=None):
-    """design_wdrc at a ``_stage`` entry, as a lane for ``ambiguity._drive(lanes,
-    _steady_coupling)``: a generator that passes on its ascent's coupling requests
-    and returns the bundle, or a rejected entry's exception unraised, so the lanes
-    sharing it keep the traceback it was caught with."""
-    lam, stage = staged
-    if isinstance(stage, Exception):
-        return stage
-    r, K, L, H, G = _steady_policy(system, weights, nominal, lam, stage)
-    wc = yield from _steady_lane(system, stage.S, stage.P, nominal.sigma_hat, lam)
-    steady = SteadyStateSolution(
-        lam=lam, theta=None if theta is None else float(theta),
-        P=stage.P, S=stage.S, r=r, K=K, L=L, H=H, G=G, Phi=stage.phi,
-        Sigma_star=wc.sigma_star, X_prior=wc.x_prior, X_post=wc.x_cov, z=wc.objective, rho=0.0,
-    )
-    steady = dataclasses.replace(steady, rho=evaluate_rho(steady, nominal))
-    gain = steady_gain(wc.x_cov, system, x_cov_prior=wc.x_prior)
-    provenance = {"input_sha256": _input_digest(system, weights, nominal, lam),
-                  "seed": seed}
-    return PolicyBundle(method="WDRC", system=system, weights=weights,
-                        nominal=nominal, steady=steady, lqg=None,
-                        estimator_gain=gain, provenance=provenance)
+def _designs(system, weights, lanes, theta=None, seed=None):
+    """design_wdrc at each lane (nominal, ``_stage`` entry) of one plant, as one stack:
+    returns each lane's bundle, or the exception it raises alone. A rejected entry's
+    exception is returned unraised, so the lanes sharing it keep the traceback it
+    was caught with."""
+    outcomes = [stage if isinstance(stage, Exception) else None for _, (_, stage) in lanes]
+    staged = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    if staged:
+        designs = _staged_designs(system, weights, [lanes[i] for i in staged], theta, seed)
+        for i, outcome in zip(staged, designs):
+            outcomes[i] = outcome
+    return outcomes
+
+
+def _stack(matrices):
+    """np.array(matrices), keeping each matrix's memory order (W of a _Stage is a
+    transposed solve): BLAS takes another path for a transposed operand, which can
+    round differently."""
+    if matrices[0].flags.f_contiguous and not matrices[0].flags.c_contiguous:
+        return np.array([m.T for m in matrices]).swapaxes(-1, -2)
+    return np.array(matrices)
+
+
+def _staged_designs(system, weights, lanes, theta, seed):
+    """``_designs`` for lanes whose entries all hold a stage. Each step runs once over
+    the stack of the lanes still standing: the per-nominal half of the policy, the
+    covariance program (``ambiguity._steady_lanes``), then rho and the estimator gain."""
+    n, n_u = system.n_x, system.n_u
+    outcomes = [None] * len(lanes)
+    nominals = [nominal for nominal, _ in lanes]
+    lam = np.array([lam for _, (lam, _) in lanes])
+    stage = _Stage(*map(_stack, zip(*(stage for _, (_, stage) in lanes))))
+    w_hat = np.array([nominal.w_hat for nominal in nominals])
+    sigma_hat = _stack([nominal.sigma_hat for nominal in nominals])
+    policy = [np.zeros((len(lanes),) + shape) for shape in ((n,), (n_u, n), (n_u,), (n, n), (n,))]
+
+    def solve_policy(i):
+        for out, value in zip(policy, _steady_policy(
+                system, weights, w_hat[i], lam[i], _Stage(*(field[i] for field in stage)))):
+            out[i] = value
+
+    _by_lane(solve_policy, np.arange(len(lanes)), outcomes.__setitem__)
+    posed = np.array([i for i, outcome in enumerate(outcomes) if outcome is None], dtype=int)
+    results = _steady_lanes(system, stage.S[posed], stage.P[posed], sigma_hat[posed], lam[posed])
+    wc, count = {}, len(lanes)
+    x_cov, x_prior = np.zeros((2, count, n, n))
+    z, rho = np.zeros(count), np.zeros(count)
+    gain = np.zeros((count, system.n_y, n)).swapaxes(-1, -2)  # each gain a transpose, as steady_gain's
+    for i, result in zip(posed, results):
+        if isinstance(result, Exception):
+            outcomes[i] = result
+        else:
+            wc[i], x_cov[i], x_prior[i], z[i] = result, result.x_cov, result.x_prior, result.objective
+    solved = np.array(list(wc), dtype=int)
+
+    def finish(i):
+        rho[i], gain[i] = (
+            _rho(stage.P[i], stage.phi[i], lam[i], w_hat[i], sigma_hat[i], policy[0][i], z[i]),
+            steady_gain(x_cov[i], system, x_cov_prior=x_prior[i]))
+
+    _by_lane(finish, solved, outcomes.__setitem__)
+    for i in solved:
+        if outcomes[i] is not None:
+            continue
+        (lam_i, stage_i), result = lanes[i][1], wc[i]
+        r_i, K, L, H, G = (field[i] for field in policy)
+        steady = SteadyStateSolution(
+            lam=lam_i, theta=None if theta is None else float(theta),
+            P=stage_i.P, S=stage_i.S, r=r_i, K=K, L=L, H=H, G=G, Phi=stage_i.phi,
+            Sigma_star=result.sigma_star, X_prior=result.x_prior, X_post=result.x_cov,
+            z=result.objective, rho=float(rho[i]),
+        )
+        provenance = {"input_sha256": _input_digest(system, weights, nominals[i], lam_i),
+                      "seed": seed}
+        outcomes[i] = PolicyBundle(method="WDRC", system=system, weights=weights,
+                                   nominal=nominals[i], steady=steady, lqg=None,
+                                   estimator_gain=gain[i], provenance=provenance)
+    return outcomes
 
 
 def design_lqg(system, weights, nominal, seed=None):
@@ -228,9 +289,8 @@ def _grid_rows(system, weights, nominals, theta, stages):
     penalty) design is a lane of one stack. A lane's AssumptionViolated or
     NoConvergence becomes its row's status; any other exception is raised, the
     first in nominal-then-penalty order, as designing one at a time would raise it."""
-    lanes = [_design(system, weights, nominal, staged, theta)
-             for nominal in nominals for staged in stages]
-    outcomes = iter(_drive(lanes, _steady_coupling))
+    lanes = [(nominal, staged) for nominal in nominals for staged in stages]
+    outcomes = iter(_designs(system, weights, lanes, theta))
     curves = []
     for _ in nominals:
         rows = []

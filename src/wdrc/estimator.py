@@ -85,21 +85,21 @@ def filter_step(belief, u, w_bar, y_next, system, x_cov_ss=None, sigma=None, gai
 
 
 def steady_gain(x_cov_ss, system, x_cov_prior=None):
-    """Steady estimator gain X_ss C' M^-1.
+    """Steady estimator gain X_ss C' M^-1, of one covariance or of each of a stack.
 
     When the matching one-step-ahead covariance is supplied, the equivalent
     innovation form X_prior C'(C X_prior C' + M)^-1 is checked against it to
     1e-9 in every entry; a mismatch means the two covariances are inconsistent.
     """
     C, M = system.C, system.M
-    gain = np.linalg.solve(M, C @ sym(np.asarray(x_cov_ss, dtype=float))).T
+    gain = np.linalg.solve(M, C @ sym(np.asarray(x_cov_ss, dtype=float))).swapaxes(-1, -2)
     if x_cov_prior is not None:
         innov = sym(C @ x_cov_prior @ C.T + M)
-        alt = np.linalg.solve(innov, C @ x_cov_prior).T
-        if np.abs(gain - alt).max() > _GAIN_CHECK_TOL:
+        alt = np.linalg.solve(innov, C @ x_cov_prior).swapaxes(-1, -2)
+        deviation = np.abs(gain - alt).max()
+        if deviation > _GAIN_CHECK_TOL:
             raise ValueError(
                 "steady gain identity violated (max deviation %.3e); "
-                "posterior and prior covariances are inconsistent"
-                % np.abs(gain - alt).max()
+                "posterior and prior covariances are inconsistent" % deviation
             )
     return gain

@@ -19,12 +19,15 @@ import numpy as np
 
 from ._linalg import (
     _COND_LIMIT,
+    dot,
     is_psd,
+    matvec,
     max_eigval,
     psd_project,
     psd_sqrt,
     is_observable,
     is_stabilizable,
+    solve_vec,
     spectral_radius,
     sym,
 )
@@ -145,21 +148,25 @@ def _riccati_step(A, Q, phi, lam, P, where):
 
 def _gains(A, B, R, lam, w_hat, P, r, inv1_PA, inv1_rw):
     """Controller gain and bias (K, L) and adversary mean parameters (H, G)
-    from P, r, (I + P Phi)^-1 P A and (I + P Phi)^-1 (r + P w_hat)."""
+    from P, r, (I + P Phi)^-1 P A and (I + P Phi)^-1 (r + P w_hat), for one
+    penalty or for a stack of lanes (one lam per lane)."""
+    lam = np.asarray(lam)[..., None]
     K = -np.linalg.solve(R, B.T @ inv1_PA)
-    L = -np.linalg.solve(R, B.T @ inv1_rw)
-    lamP = lam * np.eye(P.shape[0]) - P
+    L = -solve_vec(R, matvec(B.T, inv1_rw))
+    lamP = lam[..., None] * np.eye(P.shape[-1]) - P
     H = np.linalg.solve(lamP, P @ (A + B @ K))
-    G = np.linalg.solve(lamP, P @ (B @ L) + r + lam * w_hat)
+    G = solve_vec(lamP, matvec(P, matvec(B, L)) + r + lam * w_hat)
     return K, L, H, G
 
 
 def _offset(P, phi, lam, w_hat, tr_sigma_hat, r):
     """Constant-term increment (2 w_hat - Phi r)'(I + P Phi)^-1 r + w_hat'(I + P Phi)^-1 P w_hat
-    - lam Tr[Sigma_hat], and the sum (I + P Phi)^-1 r + (I + P Phi)^-1 P w_hat of its solves."""
-    T1 = np.eye(P.shape[0]) + P @ phi
-    inv1_r, inv1_Pw = np.linalg.solve(T1, r), np.linalg.solve(T1, P @ w_hat)
-    return (2.0 * w_hat - phi @ r) @ inv1_r + w_hat @ inv1_Pw - lam * tr_sigma_hat, inv1_r + inv1_Pw
+    - lam Tr[Sigma_hat], and the sum (I + P Phi)^-1 r + (I + P Phi)^-1 P w_hat of its solves,
+    for one penalty or for a stack of lanes."""
+    T1 = np.eye(P.shape[-1]) + P @ phi
+    inv1_r, inv1_Pw = solve_vec(T1, r), solve_vec(T1, matvec(P, w_hat))
+    value = dot(2.0 * w_hat - matvec(phi, r), inv1_r) + dot(w_hat, inv1_Pw) - lam * tr_sigma_hat
+    return value, inv1_r + inv1_Pw
 
 
 def backward_pass(system, weights, nominal, lam, horizon):
@@ -274,24 +281,26 @@ def _stage_at(system, weights, lam, phi, P):
     return _Stage(phi, P, S, inv1_PA, T1, np.linalg.solve(T1.T, system.A).T), P_next
 
 
-def _steady_policy(system, weights, nominal, lam, stage):
-    """The per-nominal half of the steady policy at a _Stage: the bias r, then K, L, H, G."""
-    P, W, w_hat = stage.P, stage.W, nominal.w_hat
+def _steady_policy(system, weights, w_hat, lam, stage):
+    """The per-nominal half of the steady policy at a _Stage: the bias r, then K, L, H, G;
+    for one nominal mean, or for a stack of lanes (w_hat, lam and the stage's fields
+    stacked)."""
+    P, W = stage.P, stage.W
     try:
-        r = np.linalg.solve(np.eye(system.n_x) - W, W @ (P @ w_hat))
+        r = solve_vec(np.eye(system.n_x) - W, matvec(W, matvec(P, w_hat)))
     except np.linalg.LinAlgError:
         raise AssumptionViolated(
             "3 (control regularity)",
             "resolvent I - A'(I + P Phi)^-1 is singular; steady-state bias undefined",
         )
-    inv1_rw = np.linalg.solve(stage.T1, r + P @ w_hat)
+    inv1_rw = solve_vec(stage.T1, r + matvec(P, w_hat))
     return (r,) + _gains(system.A, system.B, weights.R, lam, w_hat, P, r, stage.inv1_PA, inv1_rw)
 
 
 def steady_state_policy_params(system, weights, nominal, lam, P_ss):
     """Closed-form steady-state S, r and policy parameters K, L, H, G."""
     stage = _stage_at(system, weights, lam, compute_phi(system, weights, lam).matrix, P_ss)[0]
-    r, K, L, H, G = _steady_policy(system, weights, nominal, lam, stage)
+    r, K, L, H, G = _steady_policy(system, weights, nominal.w_hat, lam, stage)
     return SteadyPolicyParams(S=stage.S, r=r, K=K, L=L, H=H, G=G)
 
 

@@ -12,8 +12,18 @@ from wdrc import (
     worst_case_cov_finite,
     worst_case_cov_steady,
 )
-from wdrc._linalg import dlyap, frobenius, sym
-from wdrc.ambiguity import _drive, _steady_coupling, _steady_lane
+from wdrc._linalg import (
+    dlyap,
+    dot,
+    frobenius,
+    matvec,
+    min_eigval,
+    psd_project,
+    psd_sqrt,
+    solve_vec,
+    sym,
+)
+from wdrc.ambiguity import _steady_lanes, _tr_sqrt_and_grad
 from wdrc.estimator import _measurement_update
 from helpers import (
     ZERO_A,
@@ -294,6 +304,38 @@ class TestStackedKernels:
             alone = wdrc.ambiguity._filter_fixpoint(A, C, M, noises[i], starts[i])
             assert np.array_equal(fixed[i], alone)
 
+    @pytest.mark.parametrize("n", [1, 2, 20])
+    def test_spectral_kernels_equal_single_calls(self, n):
+        # psd_project keeps a PSD matrix as it is and clamps an indefinite one,
+        # so the stack mixes both kinds; _tr_sqrt_and_grad gets one rank-deficient
+        # root of the nominal
+        rng = np.random.default_rng(200 + n)
+        k = 7
+        psd = [random_psd(rng, n) + 0.1 * np.eye(n) for _ in range(4)]
+        mats = np.stack(psd + [rng.standard_normal((n, n)) - np.eye(n) for _ in range(k - 4)])
+        assert {min_eigval(m) >= 0.0 for m in mats} == {True, False}
+        roots = np.stack([psd_sqrt(m) for m in psd] + [np.zeros((n, n))] * (k - 4))
+        roots[1, :, 0] = roots[1, 0, :] = 0.0
+        for stack_fn, single_fn in ((psd_sqrt, psd_sqrt), (psd_project, psd_project),
+                                    (min_eigval, min_eigval)):
+            got = stack_fn(mats)
+            for i in range(k):
+                assert np.array_equal(got[i], single_fn(mats[i]))
+        values, grads = _tr_sqrt_and_grad(roots, mats)
+        for i in range(k):
+            value, grad = _tr_sqrt_and_grad(roots[i], mats[i])
+            assert values[i] == value and np.array_equal(grads[i], grad)
+        # the vector products of the design's closed forms, against numpy's 1-D forms
+        # (a transposed matrix, as riccati._Stage.W is, takes BLAS's other path)
+        x, y = rng.standard_normal((2, k, n))
+        pd = mats[:4] @ mats[:4].swapaxes(-1, -2) + np.eye(n)
+        for a in (pd, np.stack([m.T.copy() for m in pd]).swapaxes(-1, -2)):
+            products, solutions, dots = matvec(a, x[:4]), solve_vec(a, x[:4]), dot(x, y)
+            for i in range(4):
+                assert np.array_equal(products[i], a[i] @ x[i])
+                assert np.array_equal(solutions[i], np.linalg.solve(a[i], x[i]))
+                assert dots[i] == x[i] @ y[i]
+
     @pytest.mark.parametrize("n", [2, 20])
     def test_frobenius_matches_the_matrix_norm(self, n):
         stack = np.random.default_rng(n).standard_normal((2000, n, n))
@@ -302,6 +344,9 @@ class TestStackedKernels:
 
 
 class TestLaneDriver:
+    """worst_case_cov_steady is a stack of one lane of ``_steady_lanes``; each lane of
+    a larger stack ends as it does alone."""
+
     def test_coupling_failure_lands_on_its_lane(self, monkeypatch):
         # a tiny nominal covariance makes the filter fixed point slow (loop
         # factor near a = 0.99), so only that lane hits a lowered iteration cap
@@ -310,8 +355,8 @@ class TestLaneDriver:
         system = scalar_system(a=0.99)
         S, P, lam = np.array([[0.5]]), np.array([[1.0]]), 4.0
         sigma_hats = [np.array([[s]]) for s in (10.0, 1e-8, 3.0)]
-        lanes = [_steady_lane(system, S, P, sh, lam) for sh in sigma_hats]
-        outcomes = _drive(lanes, _steady_coupling)
+        outcomes = _steady_lanes(system, np.stack([S] * 3), np.stack([P] * 3),
+                                 np.stack(sigma_hats), np.full(3, lam))
         assert [type(o) for o in outcomes] == [WorstCaseCovResult, NoConvergence,
                                                WorstCaseCovResult]
         for sigma_hat, outcome in zip(sigma_hats, outcomes):
@@ -324,3 +369,32 @@ class TestLaneDriver:
                 assert np.array_equal(getattr(outcome, field), getattr(alone, field))
             assert (outcome.objective, outcome.kkt_residual, outcome.iterations) == (
                 alone.objective, alone.kkt_residual, alone.iterations)
+
+    def test_detectability_is_tested_once_per_stack(self, monkeypatch):
+        calls = []
+        detectable = wdrc.ambiguity.is_detectable
+
+        def counting(*args):
+            calls.append(args)
+            return detectable(*args)
+
+        monkeypatch.setattr(wdrc.ambiguity, "is_detectable", counting)
+        system = scalar_system(a=0.5)
+        outcomes = _steady_lanes(system, np.full((4, 1, 1), 0.5), np.ones((4, 1, 1)),
+                                 np.array([[[s]] for s in (0.5, 1.0, 2.0, 4.0)]),
+                                 np.array([4.0, 8.0, 16.0, 32.0]))
+        assert len(calls) == 1
+        assert all(isinstance(o, WorstCaseCovResult) for o in outcomes)
+
+    def test_sigma_hat_check_comes_before_detectability(self):
+        # on an undetectable plant a non-PSD nominal still fails on its own check,
+        # as it does alone, and the other lanes fail assumption 4
+        system = scalar_system(a=2.0, c=0.0)
+        sigma_hats = np.array([[[1.0]], [[-1.0]], [[2.0]]])
+        outcomes = _steady_lanes(system, np.zeros((3, 1, 1)), np.ones((3, 1, 1)), sigma_hats,
+                                 np.full(3, 10.0))
+        assert [type(o) for o in outcomes] == [AssumptionViolated, ValueError, AssumptionViolated]
+        for sigma_hat, outcome in zip(sigma_hats, outcomes):
+            with pytest.raises(type(outcome)) as alone:
+                worst_case_cov_steady(system, np.zeros((1, 1)), np.ones((1, 1)), sigma_hat, 10.0)
+            assert str(alone.value) == str(outcome)

@@ -1,8 +1,11 @@
 import time
+from datetime import timedelta
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import wdrc
 from wdrc import (
@@ -19,6 +22,7 @@ from wdrc import (
     tune_lambda,
     worst_case_cov_steady,
 )
+from wdrc._linalg import max_eigval
 from wdrc.serialize import bundle_to_dict, dumps_json
 
 from helpers import (
@@ -306,9 +310,11 @@ class TestLaneStack:
                  for lam in (1.5, 4.0, 10.0)]
         cases += [(system, weights, nominal, lam, 1e-3)
                   for lam in (7678.130002062385, 15394.36657151753, 30865.13540075521)]
-        lanes = [wdrc.design._design(sys_, w, nom, wdrc.design._stage(sys_, w, lam), theta)
-                 for sys_, w, nom, lam, theta in cases]
-        outcomes = wdrc.ambiguity._drive(lanes, wdrc.ambiguity._steady_coupling)
+        outcomes = []  # one stack per plant
+        for plant in (cases[:3], cases[3:]):
+            sys_, w, _, _, theta = plant[0]
+            lanes = [(nom, wdrc.design._stage(sys_, w, lam)) for _, _, nom, lam, _ in plant]
+            outcomes += wdrc.design._designs(sys_, w, lanes, theta)
         kinds = set()
         for (sys_, w, nom, lam, theta), outcome in zip(cases, outcomes):
             try:
@@ -325,9 +331,8 @@ class TestLaneStack:
         # traceback stays the one caught in solve_are, whatever the lane count
         staged = wdrc.design._stage(REF["system"], REF["weights"], 1.5)
         exc, tb = staged[1], staged[1].__traceback__
-        lanes = [wdrc.design._design(REF["system"], REF["weights"], REF["nominal"], staged)
-                 for _ in range(3)]
-        outcomes = wdrc.ambiguity._drive(lanes, wdrc.ambiguity._steady_coupling)
+        outcomes = wdrc.design._designs(REF["system"], REF["weights"],
+                                        [(REF["nominal"], staged)] * 3)
         assert all(outcome is exc for outcome in outcomes) and exc.__traceback__ is tb
         with pytest.raises(AssumptionViolated) as info:
             design_wdrc(REF["system"], REF["weights"], REF["nominal"], 1.5)
@@ -337,10 +342,12 @@ class TestLaneStack:
         policy = wdrc.design._steady_policy
         errors = {8.0: ValueError("first"), 16.0: TypeError("second")}
 
-        def failing(system, weights, nominal, lam, stage):
-            if float(lam) in errors:
-                raise errors[float(lam)]
-            return policy(system, weights, nominal, lam, stage)
+        def failing(system, weights, w_hat, lam, stage):
+            # one stacked call for the grid's lanes, then one call per lane
+            for value in lam:
+                if float(value) in errors:
+                    raise errors[float(value)]
+            return policy(system, weights, w_hat, lam, stage)
 
         monkeypatch.setattr(wdrc.design, "_steady_policy", failing)
         args = REF["system"], REF["weights"], REF["nominal"], 0.1
@@ -350,6 +357,59 @@ class TestLaneStack:
             wdrc.evaluate_lambda_grid(*args, [1.5, 16.0, 4.0, 8.0])
         rows = wdrc.evaluate_lambda_grid(*args, [1.5, 4.0])
         assert [r["status"][:12] for r in rows] == ["assumption: ", "ok"]
+
+
+def _same_outcome(got, alone):
+    """Two design outcomes agree: the same bundle bit for bit, or the same exception."""
+    if isinstance(alone, Exception):
+        assert type(got) is type(alone) and str(got) == str(alone)
+    else:
+        assert_same_design(got, alone)
+
+
+class TestStackProperty:
+    """Property: on random 1- to 3-state plants, every lane of a stack of 2 to 6
+    designs ends as its stack of one (``design_wdrc``), whatever its neighbours.
+    The draws mix full-rank and rank-deficient nominal covariances with the two
+    penalties that bracket the admissibility floor to 0.2 % (bisected by staging,
+    so one is rejected and one is just admissible) and comfortably admissible
+    ones. Near the floor a design can run the filter recursion and the ascent to
+    their caps, for up to about 20 s, so the caps are lowered to 1,000 filter steps and 150
+    sweeps for both the stack and the lone designs; each case must then finish
+    within 20 s."""
+
+    @settings(max_examples=10, deadline=timedelta(seconds=20), derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 3),
+           lanes=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), min_size=2,
+                          max_size=6))
+    def test_each_lane_equals_its_stack_of_one(self, seed, n, lanes):
+        rng = np.random.default_rng(seed)
+        system, weights, nominal, lam, _ = random_admissible(rng, n)
+        below, above = max_eigval(wdrc.solve_are(system, weights, 1e9)), lam
+        while above > 1.002 * below:
+            mid = np.sqrt(below * above)
+            if isinstance(wdrc.design._stage(system, weights, mid)[1], Exception):
+                below = mid
+            else:
+                above = mid
+        root = np.linalg.cholesky(nominal.sigma_hat)[:, : n - 1]  # rank n - 1
+        nominals = [nominal,
+                    wdrc.NominalMoments(w_hat=-nominal.w_hat, sigma_hat=root @ root.T),
+                    wdrc.NominalMoments(w_hat=nominal.w_hat + 0.05, sigma_hat=2.0 * nominal.sigma_hat)]
+        lams = [below, above, lam, 4.0 * lam]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wdrc.ambiguity, "_FILTER_MAX_ITER", 1000)
+            patch.setattr(wdrc.ambiguity, "_ASCENT_MAX_ITER", 150)
+            stages = [wdrc.design._stage(system, weights, value) for value in lams]
+            stack = [(nominals[j], stages[k]) for j, k in lanes]
+            outcomes = wdrc.design._designs(system, weights, stack)
+            for (j, k), outcome in zip(lanes, outcomes):
+                try:
+                    alone = design_wdrc(system, weights, nominals[j], lams[k])
+                except Exception as exc:
+                    alone = exc
+                _same_outcome(outcome, alone)
 
 
 class TestRadiusFromSamples:

@@ -356,15 +356,15 @@ class TestOutOfSampleCurve:
         assert rows[0]["mean_cost"] is None
 
     def test_designs_once_per_grid_point(self, monkeypatch):
-        # every design of a cell is a lane built by design._design: one per (draw, lam)
+        # every design of a cell is a lane of one design._designs stack: one per (draw, lam)
         calls = []
-        design = wdrc.design._design
+        designs = wdrc.design._designs
 
         def counting(*args, **kwargs):
-            calls.append((id(args[2]), args[3][0]))
-            return design(*args, **kwargs)
+            calls.extend((id(nominal), staged[0]) for nominal, staged in args[2])
+            return designs(*args, **kwargs)
 
-        monkeypatch.setattr(wdrc.design, "_design", counting)
+        monkeypatch.setattr(wdrc.design, "_designs", counting)
         grid = [4.0, 8.0, 16.0]
         rows = out_of_sample_curve(REF["system"], REF["weights"], Gaussian([0.0], [[1.0]]),
                                    [20], [0.05], runs=2, base_seed=3, dataset_draws=2,
@@ -419,13 +419,13 @@ class TestOutOfSampleCurve:
 
     def test_negative_theta_rejected_before_any_design(self, monkeypatch):
         calls = []
-        design = wdrc.design._design
+        designs = wdrc.design._designs
 
         def counting(*args, **kwargs):
-            calls.append(args[3])
-            return design(*args, **kwargs)
+            calls.extend(args[2])
+            return designs(*args, **kwargs)
 
-        monkeypatch.setattr(wdrc.design, "_design", counting)
+        monkeypatch.setattr(wdrc.design, "_designs", counting)
         with pytest.raises(ValueError, match="theta must be nonnegative"):
             out_of_sample_curve(REF["system"], REF["weights"], Gaussian([0.0], [[1.0]]),
                                 [20], [0.05, -0.1], runs=2, base_seed=3, dataset_draws=2,

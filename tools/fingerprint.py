@@ -25,6 +25,12 @@ A = B = C = 1 (nominal mean 0.3, covariance 2, penalties 4, 10 and 1e3) and on
 its message), and ``finite_horizon_recursion`` over 30 stages on that scalar
 plant at penalty 10 and on ``small_oos``'s plant and first training nominal at
 penalty 40.
+One more SHA-256 per seed covers ``worst_case_cov_steady`` on the 16 (S, P, lam)
+triples of ``grid_tune``'s grid and on ``small_oos``'s first training nominal at
+each of its 8 grid penalties (S and P from ``solve_are`` and
+``steady_state_policy_params``): every field of each result, ``iterations`` and
+``kkt_residual`` included, so the ascent's path is compared and not only its end
+point; a rejected case adds its message.
 
 It then runs the ``wdrc`` CLI's six modes, ``simulate`` once more with
 ``method: LQG``, ``sweep-theta`` once more with one dataset draw and ``tune``
@@ -176,6 +182,34 @@ def _riccati_digests(workloads, seed):
     yield "finite_horizon_recursion", len(finite), digest.hexdigest()
 
 
+def _wc_digest(workloads, seed):
+    """(case count, solved count, SHA-256) of worst_case_cov_steady over every field of
+    its result (iterations and kkt_residual included), or its exception's message."""
+    import numpy as np
+    import wdrc
+
+    grid = workloads["grid_tune"].setup(seed, False)
+    oos = workloads["small_oos"].setup(seed, False)
+    first = next(_oos_nominals(oos, seed))
+    cases = [(grid["system"], grid["weights"], grid["nominal"], lam) for lam in grid["grid"]]
+    cases += [(oos["system"], oos["weights"], first, lam) for lam in oos["grid"]]
+    digest, solved = hashlib.sha256(), 0
+    for system, weights, nominal, lam in cases:
+        try:
+            P = wdrc.solve_are(system, weights, lam)
+            S = wdrc.steady_state_policy_params(system, weights, nominal, lam, P).S
+            result = wdrc.worst_case_cov_steady(system, S, P, nominal.sigma_hat, lam)
+        except (wdrc.AssumptionViolated, wdrc.NoConvergence) as exc:
+            digest.update(str(exc).encode())
+            continue
+        solved += 1
+        for field in dataclasses.fields(result):
+            value = getattr(result, field.name)
+            digest.update(repr(value).encode() if isinstance(value, int)
+                          else np.ascontiguousarray(value, dtype=float).tobytes())
+    return len(cases), solved, digest.hexdigest()
+
+
 def _show(value):
     if isinstance(value, str):
         return "sha256:" + hashlib.sha256(value.encode()).hexdigest()
@@ -212,6 +246,8 @@ def main(argv=None):
                                                                    digest))
         for label, count, digest in _riccati_digests(WORKLOADS, seed):
             print("riccati %s seed %d: %d cases, sha256:%s" % (label, seed, count, digest))
+        print("ambiguity worst_case_cov_steady seed %d: %d cases, %d solved, sha256:%s"
+              % ((seed,) + _wc_digest(WORKLOADS, seed)))
     _cli_artifacts()
     return 0
 
