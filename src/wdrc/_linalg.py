@@ -99,17 +99,14 @@ def dlyap(g, w):
     return sym(x.reshape(np.shape(w)))
 
 
-def _unstable_eigvals(a, tol=1e-9):
-    return [z for z in np.linalg.eigvals(a) if abs(z) >= 1.0 - tol]
-
-
 def is_stabilizable(a, b, tol=1e-9):
-    """PBH test: rank [A - zI, B] = n at every eigenvalue z of A with |z| >= 1; for a
-    stack of B, one answer per matrix of the stack."""
+    """PBH test: rank [A - zI, B] = n at every eigenvalue z of A with |z| >= 1 - tol
+    (at every eigenvalue for an infinite tol); for a stack of B, one answer per
+    matrix of the stack."""
     n = a.shape[0]
     eye = np.eye(n)
     stable = np.ones(b.shape[:-2], dtype=bool)
-    for z in _unstable_eigvals(a, tol):
+    for z in (z for z in np.linalg.eigvals(a) if abs(z) >= 1.0 - tol):
         shift = np.broadcast_to(a - z * eye, b.shape[:-2] + (n, n))
         stable &= np.linalg.matrix_rank(np.concatenate([shift, b], axis=-1)) >= n
     return stable
@@ -121,10 +118,4 @@ def is_detectable(a, c, tol=1e-9):
 
 def is_observable(a, c):
     """PBH test at every eigenvalue of A."""
-    n = a.shape[0]
-    eye = np.eye(n)
-    for z in np.linalg.eigvals(a):
-        m = np.vstack([a - z * eye, c])
-        if np.linalg.matrix_rank(m) < n:
-            return False
-    return True
+    return bool(is_stabilizable(a.T, c.T, math.inf))

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from ._linalg import is_detectable, is_stabilizable, max_eigval, psd_sqrt, sym
 from .ambiguity import _by_lane, _steady_lanes, _unwrap, bures_squared, solve_filter_are
-from .estimator import steady_gain
+from .estimator import _steady_gain
 from .exceptions import AssumptionViolated, NoAdmissibleLambda, NoConvergence
 from .riccati import (
     SteadyStateSolution,
@@ -195,7 +194,7 @@ def _staged_designs(system, weights, lanes, theta, seed):
     def finish(i):
         rho[i], gain[i] = (
             _rho(stage.P[i], stage.phi[i], lam[i], w_hat[i], sigma_hat[i], policy[0][i], z[i]),
-            steady_gain(x_cov[i], system, x_cov_prior=x_prior[i]))
+            _steady_gain(x_cov[i], system, x_prior[i], NoConvergence))
 
     _by_lane(finish, solved, outcomes.__setitem__)
     for i in solved:
@@ -231,6 +230,7 @@ def design_lqg(system, weights, nominal, seed=None):
         raise NoConvergence("(A, B) is not stabilizable; no stabilizing baseline gain")
     if not is_detectable(A, psd_sqrt(Q)):
         raise NoConvergence("(A, Q^1/2) is not detectable; baseline Riccati solution may not exist")
+    import scipy.linalg  # here, not at import: only this baseline solve needs scipy
     try:
         P = sym(scipy.linalg.solve_discrete_are(A, B, Q, R))
     except np.linalg.LinAlgError as exc:
@@ -246,7 +246,7 @@ def design_lqg(system, weights, nominal, seed=None):
 
     X_prior, X_post = solve_filter_are(system, nominal.sigma_hat)
     lqg = LqgSolution(P=P, K=K, L=L, r=r, X_prior=X_prior, X_post=X_post)
-    gain = steady_gain(X_post, system, x_cov_prior=X_prior)
+    gain = _steady_gain(X_post, system, X_prior, NoConvergence)
     provenance = {"input_sha256": _input_digest(system, weights, nominal, 0.0),
                   "seed": seed}
     return PolicyBundle(method="LQG", system=system, weights=weights,

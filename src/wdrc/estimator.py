@@ -89,8 +89,13 @@ def steady_gain(x_cov_ss, system, x_cov_prior=None):
 
     When the matching one-step-ahead covariance is supplied, the equivalent
     innovation form X_prior C'(C X_prior C' + M)^-1 is checked against it to
-    1e-9 in every entry; a mismatch means the two covariances are inconsistent.
+    1e-9 in every entry; a mismatch (inconsistent covariances) raises ValueError.
     """
+    return _steady_gain(x_cov_ss, system, x_cov_prior, ValueError)
+
+
+def _steady_gain(x_cov_ss, system, x_cov_prior, error):
+    """steady_gain whose identity check raises ``error`` (a design's: NoConvergence)."""
     C, M = system.C, system.M
     gain = np.linalg.solve(M, C @ sym(np.asarray(x_cov_ss, dtype=float))).swapaxes(-1, -2)
     if x_cov_prior is not None:
@@ -98,7 +103,7 @@ def steady_gain(x_cov_ss, system, x_cov_prior=None):
         alt = np.linalg.solve(innov, C @ x_cov_prior).swapaxes(-1, -2)
         deviation = np.abs(gain - alt).max()
         if deviation > _GAIN_CHECK_TOL:
-            raise ValueError(
+            raise error(
                 "steady gain identity violated (max deviation %.3e); "
                 "posterior and prior covariances are inconsistent" % deviation
             )

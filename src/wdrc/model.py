@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._linalg import _COND_LIMIT, is_pd, is_psd, psd_sqrt, sym
 
@@ -188,8 +187,9 @@ class Gaussian(DisturbanceModel):
         cov = _check_symmetric(_as_matrix(self.cov, "cov", (mean.size, mean.size)), "cov")
         if not is_psd(cov):
             raise ValueError("cov must be positive semidefinite")
-        # _root is not a field: eq, repr and replace see only mean and cov
+        # _root and _point are not fields: eq, repr and replace see only mean and cov
         _lock(self, mean=mean, cov=cov, _root=psd_sqrt(cov))
+        object.__setattr__(self, "_point", not cov.any())
 
     def moments(self):
         return self.mean, self.cov
@@ -197,7 +197,7 @@ class Gaussian(DisturbanceModel):
     def sample(self, rng, size=None):
         n = self.mean.size
         z = rng.standard_normal(n if size is None else (size, n))
-        if not self.cov.any():
+        if self._point:  # the mean; z is still drawn, so the stream moves as for any cov
             return self.mean + 0.0 * z
         return self.mean + z @ self._root.T
 
@@ -324,6 +324,7 @@ def zoh_discretize(A_c, B_c, dt):
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = A_c
     aug[:n, n:] = B_c
+    from scipy.linalg import expm  # here, not at import: only discretization needs scipy
     e = expm(aug * dt)
     return e[:n, :n], e[:n, n:]
 

@@ -3,8 +3,11 @@
 Every run is a deterministic function of (bundle, truth, horizon, seed); a
 Monte Carlo summary derives one independent substream per run from the base
 seed, so results depend only on the seed, not on execution order or on how
-many runs or bundles are stepped together. Draw order inside a run is fixed:
+many runs or bundles are stepped together (to the last bit, save a one-run
+bundle's: see ``_run_costs``). Draw order inside a run is fixed:
 initial state, then all process disturbances, then all measurement noises.
+A Monte Carlo call is one ``_simulate`` block when it fits in ``_BLOCK_BYTES``;
+a block holds the draws and the costs, and a lone run its whole trace.
 """
 
 from __future__ import annotations
@@ -31,13 +34,11 @@ __all__ = [
     "out_of_sample_curve",
     "stability_report",
     "mean_state_trajectory",
-    "write_trace_csv",
 ]
 
-# Runs stepped together by the Monte Carlo drivers, counted over all the
-# bundles of a block; bounds the memory held by stacked draws and
-# trajectories. Results do not depend on it.
-_BLOCK_RUNS = 32
+# Bytes of draws and costs that one _simulate block holds (see _run_costs), and
+# the steps of estimates and inputs it keeps to form their stage costs at once.
+_BLOCK_BYTES, _RING = 4 << 20, 16
 
 
 @dataclass(frozen=True)
@@ -126,11 +127,19 @@ def _simulate(bundles, seeds, horizon, truth, x0_model=None, v_model=None,
     ``horizon`` disturbances from ``truth``, then ``horizon + 1`` measurement
     noises from ``v_model`` (default N(0, M)). The estimator runs in steady
     mode with the bundle's gain, fed the method's disturbance mean; with
-    ``worst_case`` the plant is driven by that mean as well. Returns (x,
-    x_hat, u, y, stage, terminal). The trajectories are stored
-    time-major, x[t] one contiguous (bundle, run, n) block, so the products
-    with the shared A, B and C are single gemms; the costs are indexed
-    (bundle, run, t) and the terminal cost (bundle, run).
+    ``worst_case`` the plant is driven by that mean as well.
+
+    The block holds x and y for every step, time-major (x[t] one contiguous
+    (bundle, run, n) block, so the products with the shared A, B and C are
+    single gemms); x[t + 1] holds the draw w[t] and y[t] the draw v[t] until
+    stepped. x_hat, u and the adversary's mean w_bar are kept in rings of
+    ``_RING`` steps, whose stage costs are formed each time a ring fills; a
+    lone run (``run_closed_loop``'s) keeps every step. Returns (x, x_hat, u, y,
+    stage, penalized, terminal), the costs indexed (bundle, run, t) with each
+    run's row contiguous. ``penalized``, formed under ``worst_case`` and for a
+    lone run (else None), is the stage cost minus lam times the squared moment
+    distance of (w_bar, Sigma*) from the nominal; LQG has no adversary, so its
+    penalized cost is its stage cost.
     """
     system, weights = bundles[0].system, bundles[0].weights
     n, ny = system.n_x, system.n_y
@@ -141,11 +150,10 @@ def _simulate(bundles, seeds, horizon, truth, x0_model=None, v_model=None,
     v_model = v_model or Gaussian(np.zeros(ny), system.M)
 
     nb, runs = len(seeds), len(seeds[0])
+    lone = nb * runs == 1
+    ring = T if lone else min(T, _RING)
     x = np.zeros((T + 1, nb, runs, n))
-    x_hat = np.zeros((T + 1, nb, runs, n))
-    u = np.zeros((T, nb, runs, system.n_u))
     y = np.zeros((T + 1, nb, runs, ny))
-    # x[t + 1] holds the disturbance w[t] and y[t] the noise v[t] until stepped
     for b, run_seeds in enumerate(seeds):
         for r, seed in enumerate(run_seeds):
             rng = np.random.default_rng(_seed_sequence(seed))
@@ -155,6 +163,7 @@ def _simulate(bundles, seeds, horizon, truth, x0_model=None, v_model=None,
                  "disturbance model dimension mismatch with the plant")
             _put(y[:, b, r], v_model.sample(rng, T + 1),
                  "measurement-noise model dimension mismatch with the plant")
+    x_hat, u = np.empty((ring + 1, nb, runs, n)), np.empty((ring, nb, runs, system.n_u))
 
     K, L, H, G = (None if part[0] is None else np.stack(part)
                   for part in zip(*map(_closed_loop, bundles)))
@@ -162,45 +171,43 @@ def _simulate(bundles, seeds, horizon, truth, x0_model=None, v_model=None,
     Ht = None if H is None else H.transpose(0, 2, 1)
     gain_t = np.stack([b.estimator_gain for b in bundles]).transpose(0, 2, 1)
     At, Bt, Ct = system.A.T, system.B.T, system.C.T
+    w_bar = None if Ht is None else np.empty((ring, nb, runs, n))
+    stage = np.empty((nb, runs, T))
+    penalized = stage if worst_case or lone else None  # LQG's, which has no adversary
+    penalize = penalized is not None and Ht is not None
+    if penalize:
+        penalized = np.empty((nb, runs, T))
+        lam = np.array([[b.steady.lam] for b in bundles])
+        w_hat = np.stack([b.nominal.w_hat for b in bundles])[:, None]
+        pen_cov = np.array([[bures_squared(b.steady.Sigma_star, b.nominal.sigma_hat)]
+                            for b in bundles])
     # (time, bundle * run, dim) views of the same memory, for the shared products
     xs, hs, us, ys = (a.reshape(len(a), nb * runs, a.shape[-1]) for a in (x, x_hat, u, y))
 
     ys[0] += xs[0] @ Ct
     x_hat[0] = system.m0 + (y[0] - system.C @ system.m0) @ gain_t
     for t in range(T):
-        u[t] = x_hat[t] @ Kt + L
-        w_bar = G if Ht is None else x_hat[t] @ Ht + G
-        bu = us[t] @ Bt
+        h, k = t % (ring + 1), t % ring
+        u[k] = x_hat[h] @ Kt + L
+        w = G if Ht is None else np.add(x_hat[h] @ Ht, G, out=w_bar[k])
+        bu = us[k] @ Bt
         xs[t + 1] += xs[t] @ At + bu
         if worst_case:
-            x[t + 1] += w_bar
+            x[t + 1] += w
         ys[t + 1] += xs[t + 1] @ Ct
-        x_pred = (hs[t] @ At + bu).reshape(nb, runs, n) + w_bar
-        x_hat[t + 1] = x_pred + (y[t + 1] - x_pred @ Ct) @ gain_t
+        x_pred = (hs[h] @ At + bu).reshape(nb, runs, n) + w
+        x_hat[(t + 1) % (ring + 1)] = x_pred + (y[t + 1] - x_pred @ Ct) @ gain_t
+        if k == ring - 1 or t == T - 1:  # the ring's steps t - k .. t
+            cost = _quadratic(x[t - k:t + 1], weights.Q) + _quadratic(u[:k + 1], weights.R)
+            stage[..., t - k:t + 1] = np.moveaxis(cost, 0, -1)
+            if penalize:
+                gap = lam * (np.sum((w_bar[:k + 1] - w_hat) ** 2, axis=-1) + pen_cov)
+                penalized[..., t - k:t + 1] = np.moveaxis(cost - gap, 0, -1)
 
-    stage = _quadratic(x[:T], weights.Q) + _quadratic(u, weights.R)
     terminal = _quadratic(x[T], weights.Qf)
     if not (np.all(np.isfinite(stage)) and np.all(np.isfinite(terminal))):
         raise ValueError("trace costs must be finite")
-    # per-run costs contiguous in t, so each run's sums keep one summation order
-    return x, x_hat, u, y, np.ascontiguousarray(np.moveaxis(stage, 0, -1)), terminal
-
-
-def _penalized(bundles, x_hat, stage):
-    """Penalized stage cost of every run of ``_simulate``, indexed (bundle, run,
-    t): the stage cost minus lam times the squared moment distance of the
-    adversary's mean H x_hat + G and covariance Sigma* from the nominal. LQG has
-    no adversary, so its penalized cost is its stage cost."""
-    H, G = zip(*(_closed_loop(b)[2:] for b in bundles))
-    if H[0] is None:
-        return stage
-    lam = np.array([[b.steady.lam] for b in bundles])
-    w_hat = np.stack([b.nominal.w_hat for b in bundles])[:, None]
-    pen_cov = np.array([[bures_squared(b.steady.Sigma_star, b.nominal.sigma_hat)]
-                        for b in bundles])
-    w_bar = x_hat[:-1] @ np.stack(H).transpose(0, 2, 1) + np.stack(G)[:, None]
-    penalty = lam * (np.sum((w_bar - w_hat) ** 2, axis=-1) + pen_cov)
-    return np.ascontiguousarray(stage - np.moveaxis(penalty, 0, -1))
+    return x, x_hat, u, y, stage, penalized, terminal
 
 
 def _put(target, draw, message):
@@ -213,25 +220,29 @@ def _put(target, draw, message):
 def _run_costs(bundles, seeds, horizon, truth, **kwargs):
     """(total cost, average cost, penalized average cost) of each run, each
     indexed (bundle, run); the penalized cost, which estimates rho under the
-    worst-case pair, only with ``worst_case`` (else None). A block holds whole
-    bundles up to ``_BLOCK_RUNS`` runs; a bundle with more runs than that is
-    split by runs."""
-    runs = len(seeds[0])
-    per_block, width = max(1, _BLOCK_RUNS // runs), min(runs, _BLOCK_RUNS)
-    totals, averages = np.empty((len(bundles), runs)), np.empty((len(bundles), runs))
+    worst-case pair, only with ``worst_case`` (else None). A block holds the
+    whole bundles whose draws and costs fit in ``_BLOCK_BYTES``, or near-equal
+    parts of one bundle's runs, two or more even past the budget: numpy rounds a
+    one-row product differently, so only a one-run bundle's costs can depend on
+    the budget."""
+    runs, system, T = len(seeds[0]), bundles[0].system, int(horizon)
     worst_case = kwargs.get("worst_case", False)
+    run_bytes = 8 * ((T + 1) * (system.n_x + system.n_y) + T * (1 + worst_case))
+    capacity = max(1, _BLOCK_BYTES // run_bytes)
+    per_block, parts = max(1, capacity // runs), max(1, min(-(-runs // capacity), runs // 2))
+    cuts = [runs * k // parts for k in range(parts + 1)]
+    totals, averages = np.empty((len(bundles), runs)), np.empty((len(bundles), runs))
     penalized = np.empty((len(bundles), runs)) if worst_case else None
     for i in range(0, len(bundles), per_block):
-        for j in range(0, runs, width):
-            block_bundles = bundles[i:i + per_block]
-            _, x_hat, _, _, stage, terminal = _simulate(
-                block_bundles, [s[j:j + width] for s in seeds[i:i + per_block]],
-                horizon, truth, **kwargs)  # no block's trajectories outlive it
-            block = np.s_[i:i + per_block, j:j + width]
+        for j, k in zip(cuts, cuts[1:]):
+            *_, stage, block_penalized, terminal = _simulate(
+                bundles[i:i + per_block], [s[j:k] for s in seeds[i:i + per_block]],
+                horizon, truth, **kwargs)
+            block = np.s_[i:i + per_block, j:k]
             totals[block] = stage.sum(axis=-1) + terminal
             averages[block] = stage.mean(axis=-1)
             if worst_case:
-                penalized[block] = _penalized(block_bundles, x_hat, stage).mean(axis=-1)
+                penalized[block] = block_penalized.mean(axis=-1)
     return totals, averages, penalized
 
 
@@ -243,9 +254,8 @@ def run_closed_loop(bundle, truth, horizon, seed, x0_model=None, v_model=None):
     models for deterministic runs). The estimator runs in steady mode with
     the bundle's gain, fed the method's disturbance mean each step.
     """
-    x, x_hat, u, y, stage, terminal = _simulate(
+    x, x_hat, u, y, stage, penalized, terminal = _simulate(
         [bundle], [[seed]], horizon, truth, x0_model=x0_model, v_model=v_model)
-    penalized = _penalized([bundle], x_hat, stage)
     return SimulationTrace(horizon=int(horizon), x=x[:, 0, 0], x_hat=x_hat[:, 0, 0],
                            u=u[:, 0, 0], y=y[:, 0, 0], stage_cost=stage[0, 0],
                            penalized_stage_cost=penalized[0, 0],
@@ -370,13 +380,6 @@ def _trace_table(trace):
     rows = [[t, *trace.x[t], *trace.x_hat[t], *trace.u[t], *trace.y[t],
              trace.stage_cost[t]] for t in range(trace.horizon)]
     return header, rows
-
-
-def write_trace_csv(path, trace):
-    """Export one trace as CSV: t, states, estimates, inputs, outputs, stage cost."""
-    from .serialize import write_csv
-
-    write_csv(path, *_trace_table(trace))
 
 
 @dataclass(frozen=True)

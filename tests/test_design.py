@@ -262,6 +262,20 @@ class TestTuneLambda:
         tune_lambda(REF["system"], REF["weights"], REF["nominal"], 0.1, grid=grid)
         assert len(calls) == 1 and calls[0][4] is grid
 
+    def test_near_floor_gain_check_failure_is_a_row(self):
+        # design._stage accepts this plant's penalties down to about 1.68943
+        # (its admissible lam is 5.03); just above that floor the design's
+        # steady gain misses its identity check by 2.6e-9, which is the
+        # design's NoConvergence and so a row, not an error ending the tuning
+        system, weights, nominal, lam, _ = random_admissible(np.random.default_rng(1), 2)
+        low = 1.00001 * 1.68943
+        with pytest.raises(wdrc.NoConvergence, match="steady gain identity violated"):
+            design_wdrc(system, weights, nominal, low)
+        rows = wdrc.evaluate_lambda_grid(system, weights, nominal, 0.1, [low, lam])
+        assert rows[0]["status"].startswith("no-convergence: steady gain identity violated")
+        assert rows[1]["status"] == "ok"
+        assert tune_lambda(system, weights, nominal, 0.1, grid=[low, lam])[0] == lam
+
     @pytest.mark.parametrize("plant", ["ref", "random3"])
     def test_staged_rows_equal_design_wdrc(self, plant):
         # a grid staged once, as out_of_sample_curve shares it across draws,

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -493,15 +498,13 @@ class TestBatchedCell:
 
     @pytest.mark.parametrize("runs, draws", [(5, 7), (70, 1)])
     def test_costs_equal_per_bundle_summaries(self, monkeypatch, runs, draws):
-        # 7 draws of 5 runs fill one block of 6 bundles and one of 1; one
-        # bundle of 70 runs is split into blocks of 32, 32 and 6 runs
+        # the cell is one block of 7 bundles of 5 runs, or of 1 bundle of 70
+        # runs; each draw's summary is a block of that draw's runs alone
         truth, row, (bundles, _, costs) = self._curve(monkeypatch, runs, draws)
         assert row["failures"] == 0 and len(bundles) == draws
-        worst = 0.0
         for d, (bundle, cost) in enumerate(zip(bundles, costs)):
             single = monte_carlo_summary(bundle, truth, self.horizon, runs, self._eval_seed(d))
-            worst = max(worst, abs(cost - single.mean_avg_cost) / abs(single.mean_avg_cost))
-        assert worst <= 1e-12
+            assert cost == single.mean_avg_cost
         assert row["mean_cost"] == float(np.mean(costs))
 
     def test_failed_draw_is_not_simulated(self, monkeypatch):
@@ -587,3 +590,110 @@ class TestBatchedCell:
             out_of_sample_curve(system, weights, truth, [20], [0.1], base_seed=0,
                                 lambda_grid=np.geomspace(4.0, 1e4, 8), **kwargs)
         assert tuned == []
+
+
+def _run_bytes(system, horizon, worst_case):
+    """The bytes one run takes in a _simulate block: its states and outputs,
+    which carry its draws, and its stage costs (and penalized ones)."""
+    return 8 * ((horizon + 1) * (system.n_x + system.n_y) + horizon * (1 + worst_case))
+
+
+class TestBlocking:
+    """_run_costs sizes its _simulate blocks by bytes; how a call is cut into
+    blocks changes no bit of any run's costs."""
+
+    @staticmethod
+    def _bundles(plant):
+        if plant == "small":
+            system, weights, truth = _small_oos_plant()
+            nominals = _small_oos_nominals(truth)[:3]
+            bundles = [design_wdrc(system, weights, nominal, lam)
+                       for nominal, lam in zip(nominals, (40.0, 100.0, 400.0))]
+            return bundles, truth, 30, 5
+        system, weights = wdrc.synthetic_power_grid()
+        truth = Gaussian(np.zeros(20), 0.01 * np.eye(20))
+        nominal = wdrc.empirical_moments(truth.sample(np.random.default_rng(0), 5), jitter=1e-8)
+        return [design_wdrc(system, weights, nominal, lam) for lam in (5e4, 1e5)], truth, 20, 5
+
+    @pytest.mark.parametrize("worst_case", [False, True], ids=["truth", "worst_case"])
+    @pytest.mark.parametrize("plant", ["small", "grid"])
+    def test_split_blocks_give_the_same_costs(self, monkeypatch, plant, worst_case):
+        bundles, truth, horizon, runs = self._bundles(plant)
+        seeds = [np.random.SeedSequence(b).spawn(runs) for b in range(len(bundles))]
+        args = bundles, seeds, horizon, truth
+        simulate, blocks = wdrc.sim._simulate, []
+
+        def recording(block_bundles, block_seeds, *rest, **kwargs):
+            blocks.append((len(block_bundles), len(block_seeds[0])))
+            return simulate(block_bundles, block_seeds, *rest, **kwargs)
+
+        monkeypatch.setattr(wdrc.sim, "_simulate", recording)
+        whole = wdrc.sim._run_costs(*args, worst_case=worst_case)
+        assert blocks == [(len(bundles), runs)]
+        one = _run_bytes(bundles[0].system, horizon, worst_case)
+        # a budget for one bundle's runs splits by bundle; one for 3 runs
+        # splits each bundle's 5 runs into blocks of 2 and 3; so does one for
+        # a single run, as a block of one run would round differently
+        for budget, shape in (((runs + 1) * one, [(1, runs)] * len(bundles)),
+                              (3 * one + 7, [(1, 2), (1, 3)] * len(bundles)),
+                              (one, [(1, 2), (1, 3)] * len(bundles))):
+            blocks.clear()
+            monkeypatch.setattr(wdrc.sim, "_BLOCK_BYTES", budget)
+            split = wdrc.sim._run_costs(*args, worst_case=worst_case)
+            assert blocks == shape
+            if budget >= 3 * one:
+                assert all(count * width * one <= budget for count, width in blocks)
+            for got, expected in zip(split, whole):
+                if worst_case or expected is not None:
+                    assert np.array_equal(got, expected)
+                else:
+                    assert got is None
+
+    def test_benchmark_calls_are_one_block_and_large_calls_split(self, monkeypatch):
+        # the blocking arithmetic alone: the simulator is replaced by one that
+        # records each block and returns zero costs
+        blocks = []
+
+        def recording(bundles, seeds, horizon, truth, worst_case=False, **kwargs):
+            blocks.append((len(bundles), len(seeds[0]), horizon, worst_case))
+            costs = np.zeros((len(bundles), len(seeds[0]), horizon))
+            return None, None, None, None, costs, costs, costs[..., 0]
+
+        monkeypatch.setattr(wdrc.sim, "_simulate", recording)
+        grid = SimpleNamespace(system=wdrc.synthetic_power_grid()[0])
+        small = SimpleNamespace(system=_small_oos_plant()[0])
+        for worst_case in (False, True):  # grid_mc's three 100-run x 100-step calls
+            blocks.clear()
+            wdrc.sim._run_costs([grid], [range(100)], 100, None, worst_case=worst_case)
+            assert blocks == [(1, 100, 100, worst_case)]
+        blocks.clear()  # small_oos's cell: 40 draws x 4 runs x 400 steps
+        wdrc.sim._run_costs([small] * 40, [range(4)] * 40, 400, None)
+        assert blocks == [(40, 4, 400, False)]
+        blocks.clear()
+        wdrc.sim._run_costs([small], [range(10 ** 4)], 400, None)
+        one = _run_bytes(small.system, 400, False)
+        assert len(blocks) > 1 and sum(width for _, width, _, _ in blocks) == 10 ** 4
+        assert all(width * one <= wdrc.sim._BLOCK_BYTES for _, width, _, _ in blocks)
+
+
+def test_import_and_small_curve_leave_scipy_unloaded():
+    # scipy.linalg is imported only by zoh_discretize and design_lqg
+    code = """
+import sys
+import numpy as np
+import wdrc
+system = wdrc.LinearSystem(A=[[0.85, 0.2], [0.0, 0.7]], B=np.eye(2), C=np.eye(2),
+                           M=0.2 * np.eye(2), m0=np.zeros(2), M0=0.05 * np.eye(2))
+weights = wdrc.CostWeights(Q=np.eye(2), Qf=np.eye(2), R=np.eye(2))
+truth = wdrc.Gaussian(mean=[0.05, -0.02], cov=[[0.3, 0.1], [0.1, 0.2]])
+rows = wdrc.out_of_sample_curve(system, weights, truth, [20], [0.1], runs=2, base_seed=0,
+                                dataset_draws=2, horizon=20, lambda_grid=[4.0, 40.0, 400.0])
+assert rows[0]["failures"] == 0, rows
+print("scipy.linalg" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wdrc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

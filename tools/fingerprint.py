@@ -31,6 +31,11 @@ each of its 8 grid penalties (S and P from ``solve_are`` and
 ``steady_state_policy_params``): every field of each result, ``iterations`` and
 ``kkt_residual`` included, so the ascent's path is compared and not only its end
 point; a rejected case adds its message.
+One more SHA-256 per workload and seed covers the per-run arrays (total,
+average and penalized average cost of every run) that ``sim._run_costs``
+returns in one task of ``grid_mc`` (its three Monte Carlo calls) and of
+``small_oos`` (its cell), so a change in how runs are stepped together is
+compared run by run, not only through the means.
 
 It then runs the ``wdrc`` CLI's six modes, ``simulate`` once more with
 ``method: LQG``, ``sweep-theta`` once more with one dataset draw and ``tune``
@@ -210,6 +215,30 @@ def _wc_digest(workloads, seed):
     return len(cases), solved, digest.hexdigest()
 
 
+def _run_cost_digests(workloads, seed):
+    """(label, call count, run count, SHA-256) of the per-run arrays that
+    ``sim._run_costs`` returns in one task of grid_mc and of small_oos."""
+    import wdrc.sim
+
+    run_costs = wdrc.sim._run_costs
+    for label in ("grid_mc", "small_oos"):
+        workload, calls = workloads[label], []
+
+        def recording(*args, **kwargs):
+            calls.append(run_costs(*args, **kwargs))
+            return calls[-1]
+
+        state = workload.setup(seed, False)
+        wdrc.sim._run_costs = recording
+        try:
+            workload.task(state)
+        finally:
+            wdrc.sim._run_costs = run_costs
+        digest = hashlib.sha256()
+        _digest_arrays(digest, [array for out in calls for array in out if array is not None])
+        yield label, len(calls), sum(out[0].size for out in calls), digest.hexdigest()
+
+
 def _show(value):
     if isinstance(value, str):
         return "sha256:" + hashlib.sha256(value.encode()).hexdigest()
@@ -248,6 +277,9 @@ def main(argv=None):
             print("riccati %s seed %d: %d cases, sha256:%s" % (label, seed, count, digest))
         print("ambiguity worst_case_cov_steady seed %d: %d cases, %d solved, sha256:%s"
               % ((seed,) + _wc_digest(WORKLOADS, seed)))
+        for label, calls, runs, digest in _run_cost_digests(WORKLOADS, seed):
+            print("runs %s seed %d: %d calls, %d runs, sha256:%s" % (label, seed, calls, runs,
+                                                                     digest))
     _cli_artifacts()
     return 0
 
