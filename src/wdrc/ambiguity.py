@@ -29,7 +29,7 @@ cuts the iteration count by orders of magnitude. The equivalent LMI form of
 the program is written out in the README for anyone who prefers to plug in
 an interior-point SDP solver instead.
 
-The ascent runs over a stack of lanes of one plant (``_ascend``): each lane's
+The ascent runs over a stack of lanes of one plant (``_Ascent``): each lane's
 iterate, step, stall count, iteration count and phase are arrays. Each round,
 every unfinished lane asks for one coupling evaluation (its start, its
 fixed-point candidate or its next backtracking trial), one stacked coupling
@@ -232,7 +232,11 @@ _START, _CANDIDATE, _TRIAL, _SWEEP, _BACKTRACK, _END, _DONE = range(7)
 
 
 class _Ascent:
-    """Projected ascent of a stack of lanes on one plant; ``_ascend`` runs it.
+    """Projected ascent of a stack of lanes on one plant: S, P, Sh and the coupling
+    starts stacked, lam one penalty per lane. ``coupling(system, S, start, Sigma)``
+    answers a stack of evaluations with (Tr[S X], Omega, X, X_prior, next start) for
+    the variant being solved. ``run()`` returns each lane's WorstCaseCovResult, or the
+    exception it raises alone.
 
     Each lane holds its iterate (Sigma, f, g, Omega and the filter pair), its
     residual, step, Armijo trial step, stall count, iteration count and phase.
@@ -240,7 +244,14 @@ class _Ascent:
     coupling evaluation at ``ask``: its start, its fixed-point candidate or its
     next backtracking trial. One coupling call answers them all, and the phase
     handlers then move every lane on by masks over the stack until it asks
-    again or is done, frozen with its WorstCaseCovResult or its exception.
+    again or ends. A lane ends in one place, ``_end``: it converged (residual at
+    most _ASCENT_TOL), used all _ASCENT_MAX_ITER sweeps, or stalled (no improving
+    step, or five sweeps without a gain above float resolution). Only an exception
+    that a handler raises ends a lane elsewhere, through ``_by_lane``'s callback.
+
+    The stationarity residual is the projected-gradient mapping norm divided
+    by max(1, lam): gradient entries are differences of O(lam) terms, so an
+    absolute criterion is unreachable in doubles for large penalties.
     """
 
     def __init__(self, system, S, P, sigma_hat, lam, start, coupling):
@@ -260,17 +271,14 @@ class _Ascent:
     def run(self):
         handlers = ((_START, self._started), (_CANDIDATE, self._candidate), (_TRIAL, self._tried),
                     (_SWEEP, self._sweep), (_BACKTRACK, self._backtrack), (_END, self._end))
-        self._each(self._init, np.arange(len(self.lam)))
+        _by_lane(self._init, np.arange(len(self.lam)), self._finish)
         while True:
             asking = np.flatnonzero(self.phase <= _TRIAL)
             if not len(asking):
                 return self.outcomes
-            self._each(self._evaluate, asking)
+            _by_lane(self._evaluate, asking, self._finish)
             for phase, handler in handlers:
-                self._each(handler, np.flatnonzero(self.phase == phase))
-
-    def _each(self, handler, lanes):
-        _by_lane(handler, lanes, self._finish)
+                _by_lane(handler, np.flatnonzero(self.phase == phase), self._finish)
 
     def _finish(self, i, outcome):
         self.outcomes[i] = outcome
@@ -347,8 +355,7 @@ class _Ascent:
                            * np.linalg.solve(w_mat, half.swapaxes(-1, -2)))
         self.phase[capped] = _END
         self.iterations[converged] += 1
-        for lane in converged:
-            self._finish(lane, self._result(lane))
+        self.phase[converged] = _END
         self.iterations[i] += 1
         self.ask[c], self.phase[c] = cand, _CANDIDATE
         self._backtrack_from(i[~pd], self.step[i[~pd]])
@@ -409,30 +416,19 @@ class _Ascent:
 
     def _end(self, i):
         for lane in i:
-            if self.residual[lane] <= _ASCENT_TOL:
-                self._finish(lane, self._result(lane))
+            residual, iterations = self.residual[lane], int(self.iterations[lane])
+            if residual <= _ASCENT_TOL:
+                outcome = WorstCaseCovResult(self.sigma[lane].copy(), self.x_cov[lane].copy(),
+                                             self.x_prior[lane].copy(), float(self.f[lane]),
+                                             residual, iterations)
+            elif iterations == _ASCENT_MAX_ITER:
+                outcome = NoConvergence("worst-case covariance ascent hit %d iterations at "
+                                        "normalized residual %.3e" % (iterations, residual))
             else:
-                self._finish(lane, NoConvergence(
+                outcome = NoConvergence(
                     "worst-case covariance ascent stalled at normalized residual %.3e after %d "
-                    "iterations" % (self.residual[lane], self.iterations[lane])))
-
-    def _result(self, i):
-        return WorstCaseCovResult(self.sigma[i].copy(), self.x_cov[i].copy(), self.x_prior[i].copy(),
-                                  float(self.f[i]), self.residual[i], int(self.iterations[i]))
-
-
-def _ascend(system, S, P, sigma_hat, lam, start, coupling):
-    """Shared projected-ascent loop for a stack of lanes of one plant: S, P, Sh and the
-    coupling starts stacked, lam one penalty per lane. ``coupling(system, S, start,
-    Sigma)`` answers a stack of evaluations with (Tr[S X], Omega, X, X_prior, next
-    start) for the variant being solved. Returns each lane's WorstCaseCovResult, or
-    the exception it raises alone.
-
-    The stationarity residual is the projected-gradient mapping norm divided
-    by max(1, lam): gradient entries are differences of O(lam) terms, so an
-    absolute criterion is unreachable in doubles for large penalties.
-    """
-    return _Ascent(system, S, P, sigma_hat, lam, start, coupling).run()
+                    "iterations" % (residual, iterations))
+            self._finish(lane, outcome)
 
 
 def _unwrap(outcome):
@@ -476,8 +472,8 @@ def _steady_lanes(system, S, P, sigma_hat, lam):
             outcomes[i] = AssumptionViolated("4 (filter regularity)", "(A, C) is not detectable")
         return outcomes
     start = sym(sigma_hat[lanes]) + np.eye(system.n_x)
-    results = _ascend(system, sym(S[lanes]), P[lanes], sigma_hat[lanes], lam[lanes], start,
-                      _steady_coupling)
+    results = _Ascent(system, sym(S[lanes]), P[lanes], sigma_hat[lanes], lam[lanes], start,
+                      _steady_coupling).run()
     for i, outcome in zip(lanes, results):
         outcomes[i] = outcome
     solved = np.array([i for i in lanes if isinstance(outcomes[i], WorstCaseCovResult)], dtype=int)
@@ -521,7 +517,8 @@ def worst_case_cov_finite(system, S_next, P_next, sigma_hat, lam, x_cov):
     _check_psd_input(sigma_hat, "sigma_hat")
     propagated = sym(A @ sym(np.asarray(x_cov, dtype=float)) @ A.T)
     S, P, sigma_hat, lam = [np.asarray(a, dtype=float)[None] for a in (S_next, P_next, sigma_hat, lam)]
-    return _unwrap(_ascend(system, sym(S), P, sigma_hat, lam, propagated[None], _finite_coupling)[0])
+    return _unwrap(_Ascent(system, sym(S), P, sigma_hat, lam, propagated[None],
+                           _finite_coupling).run()[0])
 
 
 def _certified_filter_pair(A, C, M, sigma, x_prior):

@@ -56,6 +56,7 @@ class ExperimentConfig:
     truth: DisturbanceModel
     x0: Optional[DisturbanceModel]
     nominal: NominalMoments
+    jitter: float  # eps*I added to sample-based nominals: nominal.jitter, else jitter
     lam: Optional[float]
     theta: Optional[float]
     lambda_grid: Optional[np.ndarray]
@@ -144,7 +145,6 @@ def _build_system(raw, path="system"):
 
 
 def _build_nominal(raw, truth, seed, jitter, path="nominal"):
-    jitter = _scalar(_object(raw, path).get("jitter", jitter), float, path + ".jitter")
     if "mean" in raw or "cov" in raw:
         return _parse(path, NominalMoments, _require(raw, "mean", path),
                       _require(raw, "cov", path))
@@ -217,7 +217,9 @@ def load_config(path, overrides=None):
 
     seed = _scalar(raw.get("seed", 0), int, "seed", -1)
     jitter = _scalar(raw.get("jitter", 1e-8), float, "jitter")
-    nominal = _build_nominal(_require(raw, "nominal", ""), truth, seed, jitter)
+    raw_nominal = _object(_require(raw, "nominal", ""), "nominal")
+    jitter = _scalar(raw_nominal.get("jitter", jitter), float, "nominal.jitter")
+    nominal = _build_nominal(raw_nominal, truth, seed, jitter)
     if nominal.w_hat.size != system.n_x:
         raise ConfigError("nominal", "dimension must equal the %d plant states" % system.n_x)
 
@@ -245,7 +247,7 @@ def load_config(path, overrides=None):
         json.dumps(hashed, sort_keys=True, default=str).encode()).hexdigest()
     return ExperimentConfig(
         system=system, weights=weights, truth=truth, x0=x0, nominal=nominal,
-        lam=lam, theta=theta, lambda_grid=grid,
+        jitter=jitter, lam=lam, theta=theta, lambda_grid=grid,
         thetas=thetas or None,
         sample_sizes=_scalar(raw.get("sample_sizes") or [], [int], "sample_sizes", 0) or None,
         dataset_draws=_scalar(raw.get("dataset_draws", 20), int, "dataset_draws", 0),
@@ -339,7 +341,7 @@ def run_experiment(config, mode="simulate"):
             config.system, config.weights, config.truth, sizes, thetas,
             config.runs, config.seed, dataset_draws=config.dataset_draws,
             horizon=config.horizon, lambda_grid=config.lambda_grid,
-            x0_model=config.x0)
+            jitter=config.jitter, x0_model=config.x0)
         tables["oos_curve.csv"] = (OOS_HEADER, _columns(OOS_HEADER, rows))
     elif mode == "sweep-lambda":
         grid = config.lambda_grid

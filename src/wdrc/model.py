@@ -187,9 +187,8 @@ class Gaussian(DisturbanceModel):
         cov = _check_symmetric(_as_matrix(self.cov, "cov", (mean.size, mean.size)), "cov")
         if not is_psd(cov):
             raise ValueError("cov must be positive semidefinite")
-        # _root and _point are not fields: eq, repr and replace see only mean and cov
+        # _root is not a field: eq, repr and replace see only mean and cov
         _lock(self, mean=mean, cov=cov, _root=psd_sqrt(cov))
-        object.__setattr__(self, "_point", not cov.any())
 
     def moments(self):
         return self.mean, self.cov
@@ -197,8 +196,6 @@ class Gaussian(DisturbanceModel):
     def sample(self, rng, size=None):
         n = self.mean.size
         z = rng.standard_normal(n if size is None else (size, n))
-        if self._point:  # the mean; z is still drawn, so the stream moves as for any cov
-            return self.mean + 0.0 * z
         return self.mean + z @ self._root.T
 
 

@@ -398,3 +398,23 @@ class TestLaneDriver:
             with pytest.raises(type(outcome)) as alone:
                 worst_case_cov_steady(system, np.zeros((1, 1)), np.ones((1, 1)), sigma_hat, 10.0)
             assert str(alone.value) == str(outcome)
+
+    def test_capped_lane_names_the_cap(self, monkeypatch):
+        # uncapped, the first lane converges after 8 sweeps and the second after 3;
+        # with the cap at 3 the first uses every sweep and says so, not that it stalled
+        monkeypatch.setattr(wdrc.ambiguity, "_ASCENT_MAX_ITER", 3)
+        system = scalar_system(a=0.5)
+        S, P = np.array([[0.5]]), np.array([[1.0]])
+        sigma_hats, lams = [np.array([[0.5]]), np.array([[4.0]])], [4.0, 32.0]
+        outcomes = _steady_lanes(system, np.stack([S] * 2), np.stack([P] * 2),
+                                 np.stack(sigma_hats), np.array(lams))
+        capped, converged = outcomes
+        assert isinstance(capped, NoConvergence)
+        assert str(capped).startswith("worst-case covariance ascent hit 3 iterations at "
+                                      "normalized residual ")
+        with pytest.raises(NoConvergence) as alone:
+            worst_case_cov_steady(system, S, P, sigma_hats[0], lams[0])
+        assert str(alone.value) == str(capped)
+        alone = worst_case_cov_steady(system, S, P, sigma_hats[1], lams[1])
+        assert converged.iterations == alone.iterations == 3
+        assert np.array_equal(converged.sigma_star, alone.sigma_star)

@@ -238,6 +238,24 @@ class TestTuneAndSweeps:
         assert lines[0].startswith("n_samples,theta,mean_cost")
         assert len(lines) == 3
 
+    def test_sweep_theta_uses_the_config_jitter(self, tmp_path):
+        # the top-level jitter reaches the sampled nominals unless nominal.jitter is set
+        def curve(name, jitter, nominal_jitter=None):
+            nominal = dict(SCALAR_CONFIG["nominal"])
+            if nominal_jitter is not None:
+                nominal["jitter"] = nominal_jitter
+            out = tmp_path / name
+            cfg = write_config(tmp_path, {
+                "out_dir": str(out), "thetas": [0.05], "sample_sizes": [5],
+                "dataset_draws": 2, "runs": 2, "horizon": 10, "lambda_grid": [5.0, 10.0],
+                "jitter": jitter, "nominal": nominal})
+            assert main(["sweep-theta", "--config", cfg]) == 0
+            return (out / "oos_curve.csv").read_bytes()
+
+        small = curve("small", 1e-8)
+        assert curve("large", 0.5) != small
+        assert curve("nominal", 0.5, nominal_jitter=1e-8) == small
+
     def test_power_grid_config(self, tmp_path):
         out = tmp_path / "pg"
         cfg_dict = {

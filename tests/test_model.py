@@ -131,6 +131,12 @@ class TestSampling:
         model = Gaussian(mean=np.zeros(3), cov=np.zeros((3, 3)))
         rng = np.random.default_rng(1)
         assert np.abs(model.sample(rng)).max() == 0.0
+        assert np.array_equal(model.sample(rng, 5), np.zeros((5, 3)))
+        # the zero covariance still draws its normals, so the stream moves as for any cov
+        other = np.random.default_rng(1)
+        Gaussian(mean=np.ones(3), cov=np.eye(3)).sample(other)
+        Gaussian(mean=np.ones(3), cov=np.eye(3)).sample(other, 5)
+        assert np.array_equal(rng.standard_normal(4), other.standard_normal(4))
 
     def test_uniform_box_support(self):
         model = UniformBox(lo=-0.15 * np.ones(4), hi=0.15 * np.ones(4))
