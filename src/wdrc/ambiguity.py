@@ -33,13 +33,14 @@ The ascent runs over a stack of lanes of one plant (``_Ascent``): each lane's
 iterate, step, stall count, iteration count and phase are arrays. Each round,
 every unfinished lane asks for one coupling evaluation (its start, its
 fixed-point candidate or its next backtracking trial), one stacked coupling
-call answers them all (a masked filter fixed point, a stacked measurement
-update and a blocked Kronecker Lyapunov solve), and each lane's decision is a
-mask over the stack; a lane that stops is frozen with its result or its
-exception. Each stacked kernel gives every matrix the arithmetic it gets
-alone, so a lane's result, or the exception it raises, does not depend on
-what it is stacked with; a stacked call that raises is run again lane by lane
-(``_by_lane``). A single solve is a stack of one; designs
+call answers them all (a masked filter fixed point and a stacked measurement
+update), and each lane's decision is a mask over the stack; a lane that stops
+is frozen with its result or its exception. Omega (a blocked Kronecker
+Lyapunov solve when stationary) is solved only where it is read: at starts,
+candidates and accepted trials. Each stacked kernel gives every matrix the
+arithmetic it gets alone, so a lane's result, or the exception it raises, does
+not depend on what it is stacked with; a stacked call that raises is run again
+lane by lane (``_by_lane``). A single solve is a stack of one; designs
 (``design._designs``) run ``_steady_lanes``.
 """
 
@@ -62,7 +63,7 @@ from ._linalg import (
     psd_sqrt,
     sym,
 )
-from .estimator import _measurement_update
+from .estimator import _measurement_update, _propagate
 from .exceptions import AssumptionViolated, NoConvergence
 from .model import NominalMoments
 
@@ -193,7 +194,7 @@ def _filter_fixpoint(A, C, M, sigma, start):
     live, x_prior = np.arange(len(out)), out
     for _ in range(_FILTER_MAX_ITER):
         x_post = _measurement_update(x_prior, C, M)[0]
-        x_next = sym(A @ x_post @ A.T + sigma)
+        x_next = _propagate(A, x_post, sigma)
         done = frobenius(x_next - x_prior) < _FILTER_TOL
         if done.any():
             out[live[done]] = x_next[done]
@@ -234,9 +235,10 @@ _START, _CANDIDATE, _TRIAL, _SWEEP, _BACKTRACK, _END, _DONE = range(7)
 class _Ascent:
     """Projected ascent of a stack of lanes on one plant: S, P, Sh and the coupling
     starts stacked, lam one penalty per lane. ``coupling(system, S, start, Sigma)``
-    answers a stack of evaluations with (Tr[S X], Omega, X, X_prior, next start) for
-    the variant being solved. ``run()`` returns each lane's WorstCaseCovResult, or the
-    exception it raises alone.
+    answers a stack of evaluations with (Tr[S X], X, X_prior, next start, I - K C)
+    for the variant being solved, and ``sensitivity(system, S, I - K C)`` gives
+    their Omega. ``run()`` returns each lane's WorstCaseCovResult, or the exception
+    it raises alone.
 
     Each lane holds its iterate (Sigma, f, g, Omega and the filter pair), its
     residual, step, Armijo trial step, stall count, iteration count and phase.
@@ -244,19 +246,22 @@ class _Ascent:
     coupling evaluation at ``ask``: its start, its fixed-point candidate or its
     next backtracking trial. One coupling call answers them all, and the phase
     handlers then move every lane on by masks over the stack until it asks
-    again or ends. A lane ends in one place, ``_end``: it converged (residual at
-    most _ASCENT_TOL), used all _ASCENT_MAX_ITER sweeps, or stalled (no improving
-    step, or five sweeps without a gain above float resolution). Only an exception
-    that a handler raises ends a lane elsewhere, through ``_by_lane``'s callback.
+    again or ends. Omega is solved by the handler that reads it, at a start, a
+    candidate or an accepted trial; a rejected trial solves none, so a solve that
+    would raise there (an exactly singular Kronecker system) does not end its
+    lane. A lane ends in one place, ``_end``: it converged (residual at most
+    _ASCENT_TOL), used all _ASCENT_MAX_ITER sweeps, or stalled (no improving step,
+    or five sweeps without a gain above float resolution). Only an exception that
+    a handler raises ends a lane elsewhere, through ``_by_lane``'s callback.
 
     The stationarity residual is the projected-gradient mapping norm divided
     by max(1, lam): gradient entries are differences of O(lam) terms, so an
     absolute criterion is unreachable in doubles for large penalties.
     """
 
-    def __init__(self, system, S, P, sigma_hat, lam, start, coupling):
+    def __init__(self, system, S, P, sigma_hat, lam, start, coupling, sensitivity):
         k = len(lam)
-        self.system, self.coupling = system, coupling
+        self.system, self.coupling, self.sensitivity = system, coupling, sensitivity
         self.S, self.P, self.sigma_hat, self.lam, self.start = S, P, sigma_hat, lam, start
         self.eye = np.eye(P.shape[-1])
         self.scale = np.maximum(1.0, lam)
@@ -265,7 +270,7 @@ class _Ascent:
         self.iterations, self.stalled = np.zeros(k, dtype=int), np.zeros(k, dtype=int)
         self.f, self.residual, self.step, self.t, self.tr_sx_ask = np.zeros((5, k))
         (self.pm, self.sqrt_hat, self.range_proj, self.ask, self.sigma, self.g,
-         self.omega, self.x_cov, self.x_prior, self.omega_ask, self.x_cov_ask,
+         self.omega, self.x_cov, self.x_prior, self.ikc_ask, self.x_cov_ask,
          self.x_prior_ask) = np.zeros((12,) + P.shape)
 
     def run(self):
@@ -307,10 +312,14 @@ class _Ascent:
 
     def _evaluate(self, i):
         """One coupling call for the lanes ``i`` at their asked Sigma."""
-        tr_sx, omega, x_cov, x_prior, start = self.coupling(self.system, self.S[i], self.start[i],
-                                                            self.ask[i])
-        self.tr_sx_ask[i], self.omega_ask[i], self.start[i] = tr_sx, omega, start
+        tr_sx, x_cov, x_prior, start, ikc = self.coupling(self.system, self.S[i], self.start[i],
+                                                          self.ask[i])
+        self.tr_sx_ask[i], self.start[i], self.ikc_ask[i] = tr_sx, start, ikc
         self.x_cov_ask[i], self.x_prior_ask[i] = x_cov, x_prior
+
+    def _omega(self, i):
+        """Omega at the evaluated Sigma of each lane ``i`` (a non-empty stack)."""
+        return self.sensitivity(self.system, self.S[i], self.ikc_ask[i])
 
     def _objective(self, i):
         """The objective at each lane's evaluated Sigma, and the trace root's gradient."""
@@ -318,8 +327,8 @@ class _Ascent:
         f = self.tr_sx_ask[i] + _total(self.pm[i] * self.ask[i]) + 2.0 * self.lam[i] * t_val
         return f, t_grad
 
-    def _gradient(self, i, t_grad):
-        return sym(self.omega_ask[i] + self.pm[i] + 2.0 * self._lam(i) * t_grad)
+    def _gradient(self, i, omega, t_grad):
+        return sym(omega + self.pm[i] + 2.0 * self._lam(i) * t_grad)
 
     def _mapping_residual(self, i, sigma, g):
         return frobenius(psd_project(sigma + g) - sigma) / self.scale[i]
@@ -327,17 +336,17 @@ class _Ascent:
     def _w_mat(self, i):
         return sym(self._lam(i) * self.eye - self.P[i] - self.omega[i])
 
-    def _move(self, i, f, g, residual):
+    def _move(self, i, f, g, residual, omega):
         """Make each lane's evaluated Sigma its iterate."""
         self.sigma[i], self.f[i], self.g[i], self.residual[i] = self.ask[i], f, g, residual
-        self.omega[i], self.x_cov[i], self.x_prior[i] = (
-            self.omega_ask[i], self.x_cov_ask[i], self.x_prior_ask[i])
+        self.omega[i], self.x_cov[i], self.x_prior[i] = omega, self.x_cov_ask[i], self.x_prior_ask[i]
 
     def _started(self, i):
         f, t_grad = self._objective(i)
-        g = self._gradient(i, t_grad)
+        omega = self._omega(i)
+        g = self._gradient(i, omega, t_grad)
         residual = self._mapping_residual(i, self.ask[i], g)
-        self._move(i, f, g, residual)
+        self._move(i, f, g, residual, omega)
         self.step[i] = 1.0 / self.scale[i]
         self.phase[i] = _SWEEP
 
@@ -370,14 +379,14 @@ class _Ascent:
         gradient equals W there on that range, so this avoids the lam-scale
         cancellation of the eigendecomposition form."""
         f_c = self._objective(i)[0]
-        proj = self.range_proj[i]
-        g_c = sym(self.omega_ask[i] + self.pm[i] + proj @ self._w_mat(i) @ proj)
+        omega, proj = self._omega(i), self.range_proj[i]
+        g_c = sym(omega + self.pm[i] + proj @ self._w_mat(i) @ proj)
         r_c = self._mapping_residual(i, self.ask[i], g_c)
         f = self.f[i]
         improved = f_c > f + 1e-15 * (1.0 + abs(f))
         within_noise = f_c >= f - 1e-9 * (1.0 + abs(f))
         take = improved | (within_noise & (r_c < 0.9 * self.residual[i]))
-        self._accept(i[take], f_c[take], g_c[take], r_c[take])
+        self._accept(i[take], f_c[take], g_c[take], r_c[take], omega[take])
         self._backtrack_from(i[~take], self.step[i[~take]])
 
     def _backtrack(self, i):
@@ -394,23 +403,25 @@ class _Ascent:
 
     def _tried(self, i):
         """Accept a trial with sufficient increase, doubling the next first step to 2t;
-        halve t otherwise."""
+        halve t otherwise. Only an accepted trial's Omega is solved."""
         f_t, t_grad = self._objective(i)
         drift = self.ask[i] - self.sigma[i]
         take = f_t >= self.f[i] + 1e-4 * _total(self.g[i] * drift)
         a = i[take]
-        g_t = self._gradient(a, t_grad[take])
-        self._accept(a, f_t[take], g_t, self._mapping_residual(a, self.ask[a], g_t))
-        self.step[a] = 2.0 * self.t[a]
+        if len(a):
+            omega = self._omega(a)
+            g_t = self._gradient(a, omega, t_grad[take])
+            self._accept(a, f_t[take], g_t, self._mapping_residual(a, self.ask[a], g_t), omega)
+            self.step[a] = 2.0 * self.t[a]
         self._backtrack_from(i[~take], 0.5 * self.t[i[~take]])
 
-    def _accept(self, i, f_new, g_new, r_new):
+    def _accept(self, i, f_new, g_new, r_new, omega):
         """Move to the new iterates; a lane that gains less than float resolution five
         sweeps in a row stops."""
         f = self.f[i]
         assert np.all(f_new >= f - 1e-9 * (1.0 + abs(f))), "ascent objective must be nondecreasing"
         stalled = np.where(f_new <= f + 1e-14 * (1.0 + abs(f)), self.stalled[i] + 1, 0)
-        self._move(i, f_new, g_new, r_new)
+        self._move(i, f_new, g_new, r_new, omega)
         self.stalled[i] = stalled
         self.phase[i] = np.where(stalled >= 5, _END, _SWEEP)
 
@@ -439,23 +450,31 @@ def _unwrap(outcome):
 
 
 def _steady_coupling(system, S, start, sigma):
-    """(Tr[S X], Omega, X, X_prior, next start) per lane of one plant: X_prior the
+    """(Tr[S X], X, X_prior, next start, I - K C) per lane of one plant: X_prior the
     stationary filter fixed point under noise Sigma from the lane's warm start, which
-    then moves to it, and Omega = dlyap(A (I - K C), (I - K C)' S (I - K C))."""
+    then moves to it. Its Omega is ``_steady_sensitivity``'s."""
     A, C, M = system.A, system.C, system.M
     x_prior = _filter_fixpoint(A, C, M, sigma, start)
     x_post, _, ikc = _measurement_update(x_prior, C, M)
-    omega = dlyap(A @ ikc, sym(ikc.swapaxes(-1, -2) @ S @ ikc))
-    return np.sum(S * x_post, axis=(-2, -1)), omega, x_post, x_prior, x_prior
+    return np.sum(S * x_post, axis=(-2, -1)), x_post, x_prior, x_prior, ikc
+
+
+def _steady_sensitivity(system, S, ikc):
+    """Omega = dlyap(A (I - K C), (I - K C)' S (I - K C)) per lane."""
+    return dlyap(system.A @ ikc, _finite_sensitivity(system, S, ikc))
 
 
 def _finite_coupling(system, S, start, sigma):
-    """(Tr[S X], Omega, X, X_prior, start) per lane of one plant with X_prior = the
-    lane's propagated belief covariance + Sigma, and Omega = (I - K C)' S (I - K C)."""
+    """(Tr[S X], X, X_prior, start, I - K C) per lane of one plant with X_prior = the
+    lane's propagated belief covariance + Sigma. Its Omega is ``_finite_sensitivity``'s."""
     x_prior = sym(start + sigma)
     x_post, _, ikc = _measurement_update(x_prior, system.C, system.M)
-    omega = sym(ikc.swapaxes(-1, -2) @ S @ ikc)
-    return np.sum(S * x_post, axis=(-2, -1)), omega, x_post, x_prior, start
+    return np.sum(S * x_post, axis=(-2, -1)), x_post, x_prior, start, ikc
+
+
+def _finite_sensitivity(system, S, ikc):
+    """Omega = (I - K C)' S (I - K C) per lane."""
+    return sym(ikc.swapaxes(-1, -2) @ S @ ikc)
 
 
 def _steady_lanes(system, S, P, sigma_hat, lam):
@@ -473,7 +492,7 @@ def _steady_lanes(system, S, P, sigma_hat, lam):
         return outcomes
     start = sym(sigma_hat[lanes]) + np.eye(system.n_x)
     results = _Ascent(system, sym(S[lanes]), P[lanes], sigma_hat[lanes], lam[lanes], start,
-                      _steady_coupling).run()
+                      _steady_coupling, _steady_sensitivity).run()
     for i, outcome in zip(lanes, results):
         outcomes[i] = outcome
     solved = np.array([i for i in lanes if isinstance(outcomes[i], WorstCaseCovResult)], dtype=int)
@@ -512,13 +531,12 @@ def worst_case_cov_finite(system, S_next, P_next, sigma_hat, lam, x_cov):
     returned x_cov is the belief covariance at the next stage under the
     maximizer, and the objective equals that stage's adversary value.
     """
-    A = system.A
     _require_dominance(lam, P_next, "for the covariance program")
     _check_psd_input(sigma_hat, "sigma_hat")
-    propagated = sym(A @ sym(np.asarray(x_cov, dtype=float)) @ A.T)
+    propagated = _propagate(system.A, sym(np.asarray(x_cov, dtype=float)), 0.0)
     S, P, sigma_hat, lam = [np.asarray(a, dtype=float)[None] for a in (S_next, P_next, sigma_hat, lam)]
     return _unwrap(_Ascent(system, sym(S), P, sigma_hat, lam, propagated[None],
-                           _finite_coupling).run()[0])
+                           _finite_coupling, _finite_sensitivity).run()[0])
 
 
 def _certified_filter_pair(A, C, M, sigma, x_prior):
@@ -531,7 +549,7 @@ def _certified_filter_pair(A, C, M, sigma, x_prior):
         x_prior = _filter_fixpoint(A, C, M, sigma, np.zeros_like(sigma))
     x_post = _measurement_update(x_prior, C, M)[0]
     n = A.shape[0]
-    residual = frobenius((x_prior - sym(A @ x_post @ A.T + sigma)).reshape(-1, n, n)).max()
+    residual = frobenius((x_prior - _propagate(A, x_post, sigma)).reshape(-1, n, n)).max()
     if residual > _FILTER_RESIDUAL_TOL:
         raise NoConvergence("filter stationary-equation residual %.3e above %.1e"
                             % (residual, _FILTER_RESIDUAL_TOL))

@@ -53,10 +53,14 @@ def _measurement_update(x_prior, C, M):
     return x_post, gain, ikc
 
 
+def _propagate(A, x_cov, sigma):
+    """One-step-ahead covariance sym(A X A' + sigma) of a covariance, or of each of a stack."""
+    return sym(A @ x_cov @ A.T + sigma)
+
+
 def covariance_recursion(x_cov, sigma, system):
     """One covariance step: propagate through A with noise sigma, then measure."""
-    x_prior = sym(system.A @ x_cov @ system.A.T + sigma)
-    return _measurement_update(x_prior, system.C, system.M)[0]
+    return _measurement_update(_propagate(system.A, x_cov, sigma), system.C, system.M)[0]
 
 
 def filter_step(belief, u, w_bar, y_next, system, x_cov_ss=None, sigma=None, gain=None):
@@ -78,8 +82,7 @@ def filter_step(belief, u, w_bar, y_next, system, x_cov_ss=None, sigma=None, gai
         x_new = x_pred + gain @ (y_next - C @ x_pred)
         return BeliefState(x_new, x_cov_ss)
 
-    x_prior = sym(A @ belief.x_cov @ A.T + sigma)
-    x_post, gain, _ = _measurement_update(x_prior, C, M)
+    x_post, gain, _ = _measurement_update(_propagate(A, belief.x_cov, sigma), C, M)
     x_new = x_pred + gain @ (y_next - C @ x_pred)
     return BeliefState(x_new, x_post)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,11 +25,21 @@ from wdrc._linalg import (
     solve_vec,
     sym,
 )
-from wdrc.ambiguity import _steady_lanes, _tr_sqrt_and_grad
+from wdrc.ambiguity import (
+    _BACKTRACK,
+    _CANDIDATE,
+    _START,
+    _TRIAL,
+    _Ascent,
+    _steady_lanes,
+    _tr_sqrt_and_grad,
+)
+from wdrc.design import _stage
 from wdrc.estimator import _measurement_update
 from helpers import (
     ZERO_A,
     newton_sqrt,
+    random_admissible,
     random_psd,
     scalar_nominal,
     scalar_system,
@@ -343,9 +355,78 @@ class TestStackedKernels:
         assert all(norms[i] == np.linalg.norm(m, "fro") for i, m in enumerate(stack))
 
 
+def _backtracking_lanes(scales):
+    """A 3-state plant, its nominal, and (S, P, lam) stacked at ``scales`` times its
+    admissible penalty. At half that penalty the ascent takes 26 fixed-point
+    candidates and 11 backtracking trials, 6 of them accepted."""
+    system, weights, nominal, lam, _ = random_admissible(np.random.default_rng(4), 3)
+    lams = lam * np.asarray(scales, dtype=float)
+    stages = [_stage(system, weights, lam_k)[1] for lam_k in lams]
+    return (system, nominal, np.stack([stage.S for stage in stages]),
+            np.stack([stage.P for stage in stages]), lams)
+
+
 class TestLaneDriver:
     """worst_case_cov_steady is a stack of one lane of ``_steady_lanes``; each lane of
     a larger stack ends as it does alone."""
+
+    @staticmethod
+    def _record_rounds(monkeypatch):
+        """Per round of every ascent that runs: the phases that asked for a coupling
+        evaluation, the trials accepted and the candidates taken."""
+        rounds = []
+        evaluate, candidate, tried = _Ascent._evaluate, _Ascent._candidate, _Ascent._tried
+
+        def recording_evaluate(self, i):
+            rounds.append({"asked": list(self.phase[i]), "accepted": 0, "taken": 0})
+            evaluate(self, i)
+
+        def recording_candidate(self, i):
+            candidate(self, i)
+            rounds[-1]["taken"] = int(np.sum(self.phase[i] != _BACKTRACK))
+
+        def recording_tried(self, i):
+            tried(self, i)
+            rounds[-1]["accepted"] = int(np.sum(self.phase[i] != _BACKTRACK))
+
+        monkeypatch.setattr(_Ascent, "_evaluate", recording_evaluate)
+        monkeypatch.setattr(_Ascent, "_candidate", recording_candidate)
+        monkeypatch.setattr(_Ascent, "_tried", recording_tried)
+        return rounds
+
+    def test_rejected_trials_solve_no_lyapunov_equation(self, monkeypatch):
+        # Omega is solved at starts, candidates and accepted trials only
+        system, nominal, S, P, lams = _backtracking_lanes([0.5])
+        rounds, solved = self._record_rounds(monkeypatch), []
+        lyap = wdrc.ambiguity.dlyap
+
+        def counting_dlyap(a, q):
+            solved.append(len(a))
+            return lyap(a, q)
+
+        monkeypatch.setattr(wdrc.ambiguity, "dlyap", counting_dlyap)
+        worst_case_cov_steady(system, S[0], P[0], nominal.sigma_hat, lams[0])
+        asked = [phase for r in rounds for phase in r["asked"]]
+        accepted = sum(r["accepted"] for r in rounds)
+        assert asked.count(_TRIAL) > accepted > 0
+        assert sum(solved) == asked.count(_START) + asked.count(_CANDIDATE) + accepted
+        assert sum(solved) < len(asked)
+
+    def test_mixed_phase_stack_matches_lanes_alone(self, monkeypatch):
+        # in some round one lane is on a backtracking trial while the other takes
+        # a candidate; each lane still ends bit for bit as its stack of one
+        system, nominal, S, P, lams = _backtracking_lanes([0.5, 1.0])
+        sigma_hat = np.stack([nominal.sigma_hat] * 2)
+        rounds = self._record_rounds(monkeypatch)
+        outcomes = _steady_lanes(system, S, P, sigma_hat, lams)
+        assert any(_TRIAL in r["asked"] and r["taken"] for r in rounds)
+        for k, outcome in enumerate(outcomes):
+            alone = _steady_lanes(system, S[k:k + 1], P[k:k + 1], sigma_hat[k:k + 1],
+                                  lams[k:k + 1])[0]
+            assert isinstance(outcome, WorstCaseCovResult)
+            for field in dataclasses.fields(WorstCaseCovResult):
+                got, want = getattr(outcome, field.name), getattr(alone, field.name)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
 
     def test_coupling_failure_lands_on_its_lane(self, monkeypatch):
         # a tiny nominal covariance makes the filter fixed point slow (loop
