@@ -26,11 +26,10 @@ def main():
     theta = 1e-3
     grid = wdrc.default_lambda_grid(system, weights, points=16)
     t0 = time.time()
-    lam, report = wdrc.tune_lambda(system, weights, nominal, theta, grid=grid)
+    _, robust, report = wdrc.tune_wdrc(system, weights, nominal, theta, grid=grid)
     print("tuned penalty %.4g (radius %g), certified bound %.4f  [%.1f s]"
-          % (lam, theta, report.bound, time.time() - t0))
+          % (report.lam, theta, report.bound, time.time() - t0))
 
-    robust = wdrc.design_wdrc(system, weights, nominal, lam, theta=theta)
     baseline = wdrc.design_lqg(system, weights, nominal)
 
     runs, horizon = 100, 100

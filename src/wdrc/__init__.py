@@ -29,6 +29,7 @@ from .design import (
     guaranteed_bound,
     radius_from_samples,
     tune_lambda,
+    tune_wdrc,
 )
 from .estimator import BeliefState, covariance_recursion, filter_step, steady_gain
 from .exceptions import (

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import design as design_mod
 from . import serialize, sim
-from .ambiguity import _unwrap
 from .exceptions import AssumptionViolated, ConfigError, NoAdmissibleLambda, NoConvergence
 from .model import (
     DisturbanceModel,
@@ -264,9 +263,9 @@ def _resolve_design(config, method="WDRC"):
         return design_mod.design_lqg(config.system, config.weights,
                                      config.nominal, seed=config.seed), None
     if config.theta is not None:
-        _, bundle, report = _unwrap(design_mod._tune(config.system, config.weights,
-                                                     config.nominal, config.theta,
-                                                     config.lambda_grid))
+        _, bundle, report = design_mod.tune_wdrc(config.system, config.weights,
+                                                 config.nominal, config.theta,
+                                                 config.lambda_grid)
         bundle = replace(bundle, provenance=dict(bundle.provenance, seed=config.seed))
         return bundle, report
     bundle = design_mod.design_wdrc(config.system, config.weights,
@@ -354,9 +353,9 @@ def run_experiment(config, mode="simulate"):
     elif mode == "tune":
         if config.theta is None:
             raise ConfigError("theta", "tune mode requires 'theta'")
-        rows, _, report = _unwrap(design_mod._tune(config.system, config.weights,
-                                                   config.nominal, config.theta,
-                                                   config.lambda_grid))
+        rows, _, report = design_mod.tune_wdrc(config.system, config.weights,
+                                               config.nominal, config.theta,
+                                               config.lambda_grid)
         documents["tune.json"] = {
             "lambda_star": report.lam,
             "report": serialize.bound_to_dict(report),

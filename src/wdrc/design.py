@@ -5,6 +5,8 @@ solve, closed-form policy parameters, and the worst-case covariance program
 with its stationary filter, bundling everything needed to run online with no
 further solves. ``design_lqg`` builds the certainty-equivalent baseline that
 plugs the nominal moments directly into both the controller and the estimator.
+``tune_wdrc`` returns the design at the grid penalty minimizing the certified
+bound, with that bound and the grid's rows, so no caller designs again at it.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "default_lambda_grid",
     "evaluate_lambda_grid",
     "tune_lambda",
+    "tune_wdrc",
     "radius_from_samples",
     "bellman_residual",
     "bellman_suboptimality_gap",
@@ -325,23 +328,20 @@ def _tuned(rows, theta):
     return rows, best["bundle"], guaranteed_bound(theta, best["lam"], best["rho"])
 
 
-def _tune(system, weights, nominal, theta, grid=None):
-    """``_tuned`` of the public ``evaluate_lambda_grid``'s curve over ``grid``
-    (default: ``default_lambda_grid``)."""
+def tune_wdrc(system, weights, nominal, theta, grid=None):
+    """(rows, bundle, report): ``evaluate_lambda_grid``'s rows over ``grid`` (default:
+    ``default_lambda_grid``), the design at the ok row minimizing theta^2 lam + rho(lam),
+    ties going to the smaller lam, and its bound; raises NoAdmissibleLambda if none is ok."""
     if not theta >= 0:
         raise ValueError("theta must be nonnegative")
     if grid is None:
         grid = default_lambda_grid(system, weights)
-    return _tuned(evaluate_lambda_grid(system, weights, nominal, theta, grid), theta)
+    return _unwrap(_tuned(evaluate_lambda_grid(system, weights, nominal, theta, grid), theta))
 
 
 def tune_lambda(system, weights, nominal, theta, grid=None):
-    """Pick the admissible grid penalty minimizing theta^2 lam + rho(lam).
-
-    Ties break toward the smaller penalty. Raises NoAdmissibleLambda when the
-    whole grid fails the admissibility checks.
-    """
-    _, _, report = _unwrap(_tune(system, weights, nominal, theta, grid))
+    """``(lam*, report)`` of ``tune_wdrc``: the tuned penalty and its certified bound."""
+    report = tune_wdrc(system, weights, nominal, theta, grid)[2]
     return report.lam, report
 
 

@@ -193,8 +193,8 @@ def test_criterion_09_case_study_direction():
     for name, truth in scenarios:
         rng = np.random.default_rng(0)
         nominal = wdrc.empirical_moments(truth.sample(rng, 5), jitter=1e-8)
-        lam, _ = wdrc.tune_lambda(system, weights, nominal, theta, grid=grid)
-        robust = wdrc.design_wdrc(system, weights, nominal, lam, theta=theta)
+        _, robust, _ = wdrc.tune_wdrc(system, weights, nominal, theta, grid=grid)
+        lam = robust.steady.lam
         baseline = wdrc.design_lqg(system, weights, nominal)
         s_rob = wdrc.monte_carlo_summary(robust, truth, 100, 100, base_seed=0)
         s_lqg = wdrc.monte_carlo_summary(baseline, truth, 100, 100, base_seed=0)

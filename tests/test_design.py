@@ -20,6 +20,7 @@ from wdrc import (
     radius_from_samples,
     solve_filter_are,
     tune_lambda,
+    tune_wdrc,
     worst_case_cov_steady,
 )
 from wdrc._linalg import max_eigval
@@ -205,6 +206,18 @@ class TestRhoAndBound:
             guaranteed_bound(float("nan"), 1.0, 1.0)
 
 
+def _grid_case(plant):
+    """(system, weights, nominal, grid) of a tuning case: REF, whose grid holds one
+    rejected penalty, or a random 3-state plant on its default grid."""
+    if plant == "ref":  # 1.5 fails assumption 1
+        return REF["system"], REF["weights"], REF["nominal"], [1.5, 4.0, 8.0, 16.0]
+    system, weights, nominal = random_system(np.random.default_rng(31), 3)
+    return system, weights, nominal, list(wdrc.default_lambda_grid(system, weights, points=6))
+
+
+each_tuner = pytest.mark.parametrize("tune", [tune_lambda, tune_wdrc], ids=lambda f: f.__name__)
+
+
 class TestTuneLambda:
     def test_matches_exhaustive_oracle(self):
         grid = [2.0, 4.0, 8.0]
@@ -233,19 +246,20 @@ class TestTuneLambda:
         assert lam_star == min(grid, key=lambda l: rhos[l])
         assert report.bound == report.rho
 
-    def test_nan_theta_rejected(self):
+    @each_tuner
+    def test_nan_theta_rejected(self, tune):
         with pytest.raises(ValueError, match="theta must be nonnegative"):
-            tune_lambda(REF["system"], REF["weights"], REF["nominal"], float("nan"),
-                        grid=[4.0, 8.0])
+            tune(REF["system"], REF["weights"], REF["nominal"], float("nan"), grid=[4.0, 8.0])
 
-    def test_all_inadmissible(self):
+    @each_tuner
+    def test_all_inadmissible(self, tune):
         with pytest.raises(NoAdmissibleLambda):
-            tune_lambda(REF["system"], REF["weights"], REF["nominal"], 0.1,
-                        grid=[0.2, 0.5, 0.9])
+            tune(REF["system"], REF["weights"], REF["nominal"], 0.1, grid=[0.2, 0.5, 0.9])
 
-    def test_empty_grid_rejected(self):
+    @each_tuner
+    def test_empty_grid_rejected(self, tune):
         with pytest.raises(ValueError, match="grid must be nonempty"):
-            tune_lambda(REF["system"], REF["weights"], REF["nominal"], 0.1, grid=[])
+            tune(REF["system"], REF["weights"], REF["nominal"], 0.1, grid=[])
 
     def test_evaluates_its_grid_through_the_public_call(self, monkeypatch):
         # a wrapper of evaluate_lambda_grid, such as the benchmark's row
@@ -280,12 +294,7 @@ class TestTuneLambda:
     def test_staged_rows_equal_design_wdrc(self, plant):
         # a grid staged once, as out_of_sample_curve shares it across draws,
         # tunes to the same designs as design_wdrc solving each stage itself
-        if plant == "ref":
-            system, weights, nominal = REF["system"], REF["weights"], REF["nominal"]
-            grid = [1.5, 4.0, 8.0, 16.0]  # 1.5 fails assumption 1
-        else:
-            system, weights, nominal = random_system(np.random.default_rng(31), 3)
-            grid = list(wdrc.default_lambda_grid(system, weights, points=6))
+        system, weights, nominal, grid = _grid_case(plant)
         theta = 0.05
         stages = [wdrc.design._stage(system, weights, lam) for lam in grid]
         for _ in range(2):  # a second nominal reuses the same stages
@@ -308,6 +317,31 @@ class TestTuneLambda:
             nominal = wdrc.NominalMoments(w_hat=nominal.w_hat + 0.1,
                                           sigma_hat=2.0 * nominal.sigma_hat)
         assert {r["status"] == "ok" for r in rows} == {True, False}
+
+    @pytest.mark.parametrize("plant", ["ref", "random3"])
+    def test_tune_wdrc_returns_the_design_at_lambda_star(self, plant):
+        system, weights, nominal, grid = _grid_case(plant)
+        theta = 0.05
+        rows, bundle, report = tune_wdrc(system, weights, nominal, theta, grid=grid)
+        assert_same_design(bundle, design_wdrc(system, weights, nominal, report.lam, theta=theta))
+        assert (report.lam, report) == tune_lambda(system, weights, nominal, theta, grid=grid)
+        curve = wdrc.evaluate_lambda_grid(system, weights, nominal, theta, grid)
+        assert [(r["lam"], r["status"], r["rho"]) for r in rows] == [
+            (r["lam"], r["status"], r["rho"]) for r in curve]
+
+    def test_tune_wdrc_designs_once(self, monkeypatch):
+        # one stack of one lane per grid penalty, and no second design at lam*
+        stacks, singles, designs = [], [], wdrc.design._designs
+
+        def counting(system, weights, lanes, *args):
+            stacks.append(len(lanes))
+            return designs(system, weights, lanes, *args)
+
+        monkeypatch.setattr(wdrc.design, "_designs", counting)
+        monkeypatch.setattr(wdrc.design, "design_wdrc", lambda *args, **kw: singles.append(args))
+        grid = [1.5, 4.0, 8.0, 16.0]
+        tune_wdrc(REF["system"], REF["weights"], REF["nominal"], 0.1, grid=grid)
+        assert stacks == [len(grid)] and singles == []
 
 
 class TestLaneStack:

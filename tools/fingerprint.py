@@ -36,12 +36,17 @@ average and penalized average cost of every run) that ``sim._run_costs``
 returns in one task of ``grid_mc`` (its three Monte Carlo calls) and of
 ``small_oos`` (its cell), so a change in how runs are stepped together is
 compared run by run, not only through the means.
+``--workloads`` restricts all of the above to the workloads it names: their
+fingerprint, check and row lines and their ``designs`` and ``runs`` digests. The
+Riccati and ``worst_case_cov_steady`` digests mix inputs of several workloads, so
+they run only when every workload is named.
 
-It then runs the ``wdrc`` CLI's six modes, ``simulate`` once more with
-``method: LQG``, ``sweep-theta`` once more with one dataset draw and ``tune``
-once more on the default grid, on one fixed 2-state config in a temporary
-directory, and prints each artifact's name in the order the CLI printed it
-with the SHA-256 of its bytes (``summary.csv`` without its wall-time column).
+It then runs, whatever ``--workloads`` names, the ``wdrc`` CLI's six modes,
+``simulate`` once more with ``method: LQG``, ``sweep-theta`` once more with one
+dataset draw and ``tune`` once more on the default grid, on one fixed 2-state
+config in a temporary directory, and prints each artifact's name in the order
+the CLI printed it with the SHA-256 of its bytes (``summary.csv`` without its
+wall-time column).
 Nothing is written outside that directory.
 """
 
@@ -119,18 +124,22 @@ def _oos_nominals(oos, seed):
         yield wdrc.empirical_moments(samples, jitter=1e-8)
 
 
-def _design_digests(workloads, seed):
-    """(label, row count, ok count, SHA-256) of the per-design digest of each workload."""
+def _design_digests(workloads, names, seed):
+    """(label, row count, ok count, SHA-256) of the per-design digest of each workload
+    among ``names`` that has one (small_oos, grid_tune)."""
     import numpy as np
     import wdrc
 
-    oos = workloads["small_oos"].setup(seed, False)
-    nominals = list(_oos_nominals(oos, seed))
-    tune = workloads["grid_tune"]
-    grid = tune.setup(seed, False)
-    cases = [("small_oos", oos["system"], oos["weights"], nominals, oos["theta"], oos["grid"]),
-             ("grid_tune", grid["system"], grid["weights"], [grid["nominal"]], tune.theta,
-              grid["grid"])]
+    cases = []
+    if "small_oos" in names:
+        oos = workloads["small_oos"].setup(seed, False)
+        cases.append(("small_oos", oos["system"], oos["weights"], list(_oos_nominals(oos, seed)),
+                      oos["theta"], oos["grid"]))
+    if "grid_tune" in names:
+        tune = workloads["grid_tune"]
+        grid = tune.setup(seed, False)
+        cases.append(("grid_tune", grid["system"], grid["weights"], [grid["nominal"]],
+                      tune.theta, grid["grid"]))
     for label, system, weights, nominal_list, theta, lams in cases:
         digest, count, ok = hashlib.sha256(), 0, 0
         for nominal in nominal_list:
@@ -215,13 +224,14 @@ def _wc_digest(workloads, seed):
     return len(cases), solved, digest.hexdigest()
 
 
-def _run_cost_digests(workloads, seed):
+def _run_cost_digests(workloads, names, seed):
     """(label, call count, run count, SHA-256) of the per-run arrays that
-    ``sim._run_costs`` returns in one task of grid_mc and of small_oos."""
+    ``sim._run_costs`` returns in one task of each of grid_mc and small_oos
+    among ``names``."""
     import wdrc.sim
 
     run_costs = wdrc.sim._run_costs
-    for label in ("grid_mc", "small_oos"):
+    for label in [name for name in ("grid_mc", "small_oos") if name in names]:
         workload, calls = workloads[label], []
 
         def recording(*args, **kwargs):
@@ -258,7 +268,8 @@ def main(argv=None):
     sys.path[:0] = [os.path.join(repo, "src"), os.path.join(repo, "bench")]
     from workloads import WORKLOADS
 
-    for name in args.workloads or list(WORKLOADS):
+    names = args.workloads or list(WORKLOADS)
+    for name in names:
         workload = WORKLOADS[name]
         for seed in args.seeds:
             state = workload.setup(seed, False)
@@ -270,14 +281,15 @@ def main(argv=None):
                 print("%s seed %d row: %r %s %r" % (name, seed, row["lam"], row["status"],
                                                     row["rho"]))
     for seed in args.seeds:
-        for label, count, ok, digest in _design_digests(WORKLOADS, seed):
+        for label, count, ok, digest in _design_digests(WORKLOADS, names, seed):
             print("designs %s seed %d: %d rows, %d ok, sha256:%s" % (label, seed, count, ok,
                                                                    digest))
-        for label, count, digest in _riccati_digests(WORKLOADS, seed):
-            print("riccati %s seed %d: %d cases, sha256:%s" % (label, seed, count, digest))
-        print("ambiguity worst_case_cov_steady seed %d: %d cases, %d solved, sha256:%s"
-              % ((seed,) + _wc_digest(WORKLOADS, seed)))
-        for label, calls, runs, digest in _run_cost_digests(WORKLOADS, seed):
+        if set(WORKLOADS) <= set(names):  # these digests mix the workloads' inputs
+            for label, count, digest in _riccati_digests(WORKLOADS, seed):
+                print("riccati %s seed %d: %d cases, sha256:%s" % (label, seed, count, digest))
+            print("ambiguity worst_case_cov_steady seed %d: %d cases, %d solved, sha256:%s"
+                  % ((seed,) + _wc_digest(WORKLOADS, seed)))
+        for label, calls, runs, digest in _run_cost_digests(WORKLOADS, names, seed):
             print("runs %s seed %d: %d calls, %d runs, sha256:%s" % (label, seed, calls, runs,
                                                                      digest))
     _cli_artifacts()
