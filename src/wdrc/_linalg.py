@@ -50,7 +50,8 @@ def min_eigval(a):
 
 
 def max_eigval(a):
-    return float(np.linalg.eigvalsh(sym(a))[-1])
+    """Largest eigenvalue of the symmetric part of a matrix, or the largest over a stack."""
+    return float(np.linalg.eigvalsh(sym(a))[..., -1].max())
 
 
 def is_psd(a, tol=1e-10):

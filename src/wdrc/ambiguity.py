@@ -169,14 +169,16 @@ def _tr_sqrt_and_grad(sqrt_hat, sigma):
 
 def _require_dominance(lam, P, where):
     """Raise assumption 1 unless lam - max eig P > lam/_COND_LIMIT, by one Cholesky
-    of (1 - 1/_COND_LIMIT) lam*I - P (the Riccati solve runs it every sweep);
+    of (1 - 1/_COND_LIMIT) lam*I - P (the Riccati solve runs it every sweep), for
+    one penalty or for one per matrix of a stack (raising if any lane fails);
     ``where`` names the stage. For P >= 0 the gap bounds cond(lam*I - P) by
     _COND_LIMIT and every eigenvalue of I + P Phi below by 1/_COND_LIMIT."""
+    lam = np.asarray(lam, dtype=float)
     try:
-        np.linalg.cholesky((1.0 - 1.0 / _COND_LIMIT) * lam * np.eye(P.shape[0]) - P)
+        np.linalg.cholesky((1.0 - 1.0 / _COND_LIMIT) * lam[..., None, None] * np.eye(P.shape[-1]) - P)
     except np.linalg.LinAlgError:
         msg = "lam*I - P is not positive definite %s (lam=%.6g, max eig P=%.6g); increase lam"
-        raise AssumptionViolated("1 (penalty dominance)", msg % (where, lam, max_eigval(P))) from None
+        raise AssumptionViolated("1 (penalty dominance)", msg % (where, lam.max(), max_eigval(P))) from None
 
 
 def _filter_fixpoint(A, C, M, sigma, start):

@@ -307,6 +307,16 @@ def _columns(header, rows):
     return [[r[k] for k in header] for r in rows]
 
 
+def _trace_table(trace):
+    """(header, rows) of one trace: t, states, estimates, inputs, outputs, stage cost."""
+    n, nu, ny = trace.x.shape[1], trace.u.shape[1], trace.y.shape[1]
+    header = (["t"] + ["x_%d" % i for i in range(n)] + ["xhat_%d" % i for i in range(n)]
+              + ["u_%d" % i for i in range(nu)] + ["y_%d" % i for i in range(ny)] + ["stage_cost"])
+    rows = [[t, *trace.x[t], *trace.x_hat[t], *trace.u[t], *trace.y[t],
+             trace.stage_cost[t]] for t in range(trace.horizon)]
+    return header, rows
+
+
 def run_experiment(config, mode="simulate"):
     """Execute one experiment mode; returns the paths written."""
     documents, tables = {}, {}
@@ -328,7 +338,7 @@ def run_experiment(config, mode="simulate"):
         for idx, child in enumerate(children):
             trace = sim.run_closed_loop(designs[0][0], config.truth, config.horizon,
                                         child, x0_model=config.x0)
-            tables["trace_%03d.csv" % idx] = sim._trace_table(trace)
+            tables["trace_%03d.csv" % idx] = _trace_table(trace)
     elif mode == "sweep-theta":
         thetas = config.thetas or ([config.theta] if config.theta is not None else None)
         if not thetas:

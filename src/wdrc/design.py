@@ -7,6 +7,7 @@ further solves. ``design_lqg`` builds the certainty-equivalent baseline that
 plugs the nominal moments directly into both the controller and the estimator.
 ``tune_wdrc`` returns the design at the grid penalty minimizing the certified
 bound, with that bound and the grid's rows, so no caller designs again at it.
+Designs read the penalties' Riccati stages from ``riccati._stages`` by index.
 """
 
 from __future__ import annotations
@@ -21,15 +22,7 @@ from ._linalg import is_detectable, is_stabilizable, max_eigval, psd_sqrt, sym
 from .ambiguity import _by_lane, _steady_lanes, _unwrap, bures_squared, solve_filter_are
 from .estimator import _steady_gain
 from .exceptions import AssumptionViolated, NoAdmissibleLambda, NoConvergence
-from .riccati import (
-    SteadyStateSolution,
-    _offset,
-    _Stage,
-    _stage_at,
-    _steady_policy,
-    compute_phi,
-    solve_are,
-)
+from .riccati import SteadyStateSolution, _offset, _Stage, _stages, _steady_policy, solve_are
 
 __all__ = [
     "BoundReport",
@@ -116,17 +109,6 @@ def _rho(P, phi, lam, w_hat, sigma_hat, r, z):
     return _offset(P, phi, lam, w_hat, tr_sigma_hat, r)[0] + z
 
 
-def _stage(system, weights, lam):
-    """(lam, riccati._Stage): design_wdrc's nominal-free half at penalty ``lam``,
-    or (lam, exc) for the AssumptionViolated or NoConvergence that rejects it."""
-    lam = float(lam)
-    try:
-        phi = compute_phi(system, weights, lam).matrix
-        return lam, _stage_at(system, weights, lam, phi, solve_are(system, weights, lam))[0]
-    except (AssumptionViolated, NoConvergence) as exc:
-        return lam, exc
-
-
 def design_wdrc(system, weights, nominal, lam, theta=None, seed=None):
     """Offline synthesis of the robust policy pair at penalty ``lam``.
 
@@ -135,55 +117,38 @@ def design_wdrc(system, weights, nominal, lam, theta=None, seed=None):
     carries. Raises AssumptionViolated or NoConvergence from the failing stage.
     The design is a stack of one lane (see ``_designs``).
     """
-    lane = (nominal, _stage(system, weights, lam))
-    return _unwrap(_designs(system, weights, [lane], theta, seed)[0])
+    staged = _stages(system, weights, [lam])
+    return _unwrap(_designs(system, weights, [nominal], staged, theta, seed)[0])
 
 
-def _designs(system, weights, lanes, theta=None, seed=None):
-    """design_wdrc at each lane (nominal, ``_stage`` entry) of one plant, as one stack:
-    returns each lane's bundle, or the exception it raises alone. A rejected entry's
-    exception is returned unraised, so the lanes sharing it keep the traceback it
-    was caught with."""
-    outcomes = [stage if isinstance(stage, Exception) else None for _, (_, stage) in lanes]
-    staged = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    if staged:
-        designs = _staged_designs(system, weights, [lanes[i] for i in staged], theta, seed)
-        for i, outcome in zip(staged, designs):
-            outcomes[i] = outcome
-    return outcomes
-
-
-def _stack(matrices):
-    """np.array(matrices), keeping each matrix's memory order (W of a _Stage is a
-    transposed solve): BLAS takes another path for a transposed operand, which can
-    round differently."""
-    if matrices[0].flags.f_contiguous and not matrices[0].flags.c_contiguous:
-        return np.array([m.T for m in matrices]).swapaxes(-1, -2)
-    return np.array(matrices)
-
-
-def _staged_designs(system, weights, lanes, theta, seed):
-    """``_designs`` for lanes whose entries all hold a stage. Each step runs once over
-    the stack of the lanes still standing: the per-nominal half of the policy, the
-    covariance program (``ambiguity._steady_lanes``), then rho and the estimator gain."""
-    n, n_u = system.n_x, system.n_u
-    outcomes = [None] * len(lanes)
-    nominals = [nominal for nominal, _ in lanes]
-    lam = np.array([lam for _, (lam, _) in lanes])
-    stage = _Stage(*map(_stack, zip(*(stage for _, (_, stage) in lanes))))
-    w_hat = np.array([nominal.w_hat for nominal in nominals])
-    sigma_hat = _stack([nominal.sigma_hat for nominal in nominals])
-    policy = [np.zeros((len(lanes),) + shape) for shape in ((n,), (n_u, n), (n_u,), (n, n), (n,))]
+def _designs(system, weights, nominals, staged, theta=None, seed=None):
+    """design_wdrc at each (nominal, penalty) pair of one plant, nominal-major over
+    ``staged``, the penalties' ``riccati._stages``, as one stack: each pair's bundle, or
+    the exception it raises alone. A rejected penalty's exception is returned unraised,
+    keeping the traceback it was caught with. Each step runs once over the pairs still
+    standing: the per-nominal half of the policy, the covariance program
+    (``ambiguity._steady_lanes``), then rho and the estimator gain."""
+    lams, stages, rejected = staged
+    outcomes = [exc for _ in nominals for exc in rejected]
+    if not outcomes:
+        return outcomes
+    n, n_u, count = system.n_x, system.n_u, len(outcomes)
+    nominal, penalty = [nom for nom in nominals for _ in lams], np.arange(count) % len(lams)
+    lam, stage = lams[penalty], _Stage(*(field[penalty] for field in stages))  # W stays transposed
+    w_hat = np.array([nom.w_hat for nom in nominal])
+    sigma_hat = np.array([nom.sigma_hat for nom in nominal])
+    policy = [np.zeros((count,) + shape) for shape in ((n,), (n_u, n), (n_u,), (n, n), (n,))]
 
     def solve_policy(i):
         for out, value in zip(policy, _steady_policy(
                 system, weights, w_hat[i], lam[i], _Stage(*(field[i] for field in stage)))):
             out[i] = value
 
-    _by_lane(solve_policy, np.arange(len(lanes)), outcomes.__setitem__)
+    lanes = np.flatnonzero([outcome is None for outcome in outcomes])
+    _by_lane(solve_policy, lanes, outcomes.__setitem__)
     posed = np.array([i for i, outcome in enumerate(outcomes) if outcome is None], dtype=int)
     results = _steady_lanes(system, stage.S[posed], stage.P[posed], sigma_hat[posed], lam[posed])
-    wc, count = {}, len(lanes)
+    wc = {}
     x_cov, x_prior = np.zeros((2, count, n, n))
     z, rho = np.zeros(count), np.zeros(count)
     gain = np.zeros((count, system.n_y, n)).swapaxes(-1, -2)  # each gain a transpose, as steady_gain's
@@ -203,18 +168,18 @@ def _staged_designs(system, weights, lanes, theta, seed):
     for i in solved:
         if outcomes[i] is not None:
             continue
-        (lam_i, stage_i), result = lanes[i][1], wc[i]
+        lam_i, result = float(lam[i]), wc[i]
         r_i, K, L, H, G = (field[i] for field in policy)
         steady = SteadyStateSolution(
             lam=lam_i, theta=None if theta is None else float(theta),
-            P=stage_i.P, S=stage_i.S, r=r_i, K=K, L=L, H=H, G=G, Phi=stage_i.phi,
+            P=stage.P[i], S=stage.S[i], r=r_i, K=K, L=L, H=H, G=G, Phi=stage.phi[i],
             Sigma_star=result.sigma_star, X_prior=result.x_prior, X_post=result.x_cov,
             z=result.objective, rho=float(rho[i]),
         )
-        provenance = {"input_sha256": _input_digest(system, weights, nominals[i], lam_i),
+        provenance = {"input_sha256": _input_digest(system, weights, nominal[i], lam_i),
                       "seed": seed}
         outcomes[i] = PolicyBundle(method="WDRC", system=system, weights=weights,
-                                   nominal=nominals[i], steady=steady, lqg=None,
+                                   nominal=nominal[i], steady=steady, lqg=None,
                                    estimator_gain=gain[i], provenance=provenance)
     return outcomes
 
@@ -282,23 +247,21 @@ def evaluate_lambda_grid(system, weights, nominal, theta, grid):
     not fatal. Returns a list of dict rows (lam, rho, bound, status, bundle),
     with ``bundle`` the design at that penalty, or None for a rejected row.
     The grid's designs run as one stack of lanes."""
-    stages = [_stage(system, weights, lam) for lam in grid]
-    return _grid_rows(system, weights, [nominal], theta, stages)[0]
+    return _grid_rows(system, weights, [nominal], theta, _stages(system, weights, grid))[0]
 
 
-def _grid_rows(system, weights, nominals, theta, stages):
-    """evaluate_lambda_grid's rows for each nominal over ``stages``, the grid's
-    ``_stage`` entries in order, which all nominals share; every (nominal,
-    penalty) design is a lane of one stack. A lane's AssumptionViolated or
-    NoConvergence becomes its row's status; any other exception is raised, the
-    first in nominal-then-penalty order, as designing one at a time would raise it."""
-    lanes = [(nominal, staged) for nominal in nominals for staged in stages]
-    outcomes = iter(_designs(system, weights, lanes, theta))
+def _grid_rows(system, weights, nominals, theta, staged):
+    """evaluate_lambda_grid's rows for each nominal over ``staged``, the grid's
+    ``riccati._stages``, which all nominals share; every (nominal, penalty) design
+    is a lane of one stack. A lane's AssumptionViolated or NoConvergence becomes
+    its row's status; any other exception is raised, the first in
+    nominal-then-penalty order, as designing one at a time would raise it."""
+    outcomes = iter(_designs(system, weights, nominals, staged, theta))
     curves = []
     for _ in nominals:
         rows = []
-        for (lam, _), outcome in zip(stages, outcomes):
-            row = {"lam": lam, "rho": None, "bound": None, "status": "ok", "bundle": None}
+        for lam, outcome in zip(staged[0], outcomes):
+            row = {"lam": float(lam), "rho": None, "bound": None, "status": "ok", "bundle": None}
             if isinstance(outcome, AssumptionViolated):
                 row["status"] = "assumption: %s" % outcome
             elif isinstance(outcome, NoConvergence):
@@ -306,7 +269,7 @@ def _grid_rows(system, weights, nominals, theta, stages):
             else:
                 bundle = _unwrap(outcome)
                 row["rho"] = bundle.steady.rho
-                row["bound"] = float(theta * theta * lam + bundle.steady.rho)
+                row["bound"] = float(theta * theta * row["lam"] + bundle.steady.rho)
                 row["bundle"] = bundle
             rows.append(row)
         curves.append(rows)

@@ -6,7 +6,8 @@ backward by a Riccati-type recursion in which the penalty parameter ``lam``
 enters through Phi = B R^-1 B' - (1/lam) I. The controller gain/bias (K, L)
 and the adversarial disturbance-mean parameters (H, G) are closed forms in
 those coefficients. Steady-state quantities are the fixed points reached as
-the horizon grows.
+the horizon grows; their nominal-free half at a grid of penalties is staged
+once, as one stack over the penalties (``_stages``; ``solve_are`` is a stack of one).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from ._linalg import (
     _COND_LIMIT,
     dot,
+    frobenius,
     is_psd,
     matvec,
     max_eigval,
@@ -28,10 +30,9 @@ from ._linalg import (
     is_observable,
     is_stabilizable,
     solve_vec,
-    spectral_radius,
     sym,
 )
-from .ambiguity import _require_dominance, worst_case_cov_finite
+from .ambiguity import _by_lane, _require_dominance, worst_case_cov_finite
 from .estimator import _measurement_update
 from .exceptions import AssumptionViolated, NoConvergence
 
@@ -140,9 +141,10 @@ def compute_phi(system, weights, lam):
 def _riccati_step(A, Q, phi, lam, P, where):
     """One stage of the penalized Riccati map at P: tests assumption 1
     (lam*I - P positive definite; ``where`` names the stage), then returns
-    sym(Q + A'(I + P Phi)^-1 P A) together with (I + P Phi)^-1 P A."""
+    sym(Q + A'(I + P Phi)^-1 P A) together with (I + P Phi)^-1 P A; for one
+    penalty or for a stack of lanes (phi, lam and P stacked)."""
     _require_dominance(lam, P, where)
-    inv1_PA = np.linalg.solve(np.eye(P.shape[0]) + P @ phi, P @ A)
+    inv1_PA = np.linalg.solve(np.eye(P.shape[-1]) + P @ phi, P @ A)
     return sym(Q + A.T @ inv1_PA), inv1_PA
 
 
@@ -232,53 +234,84 @@ def finite_horizon_recursion(system, weights, nominal, lam, horizon):
 
 
 def solve_are(system, weights, lam):
-    """Steady-state P solving P = Q + A'(I + P Phi)^-1 P A.
+    """Steady-state P solving P = Q + A'(I + P Phi)^-1 P A: ``_stages`` of one penalty,
+    after assumption 1 on the first iterate Q, which rejects a nonpositive lam first.
+    Phi >= 0 is not required: any system with fewer inputs than states has Phi
+    indefinite by exactly 1/lam."""
+    _require_dominance(lam, weights.Q, "at the first iterate")
+    _, stages, (rejected,) = _stages(system, weights, [lam])
+    if rejected is not None:
+        raise rejected
+    return stages.P[0]
 
-    Solved by fixed-point iteration from Q, which converges whenever the
-    regularity conditions hold, to a Frobenius change below 1e-12 within
-    1e5 sweeps (NoConvergence otherwise). Checks performed: assumption 1
-    (_require_dominance) on the first iterate Q, before the PBH rank tests of
-    (A, Q^1/2) observable and (A, proj_psd(Phi)^1/2) stabilizable, and again
-    at every sweep, so an inadmissible lam fails fast; after convergence,
-    residual below 1e-9 and A'(I + P Phi)^-1 strictly stable. Phi >= 0 is not
-    required: any system with fewer inputs than states has Phi indefinite by
-    exactly 1/lam.
-    """
-    A, Q = system.A, weights.Q
-    _require_dominance(lam, Q, "at the first iterate")
-    phi = compute_phi(system, weights, lam).matrix
-    if not is_stabilizable(A, psd_sqrt(psd_project(phi))):
-        raise AssumptionViolated("3 (control regularity)", "(A, Phi^1/2) is not stabilizable")
-    if not is_observable(A, psd_sqrt(Q)):
-        raise AssumptionViolated("3 (control regularity)", "(A, Q^1/2) is not observable")
 
-    P = sym(Q)
-    for sweep in range(_ARE_MAX_ITER):
-        P_next = _riccati_step(A, Q, phi, lam, P, "at sweep %d" % sweep)[0]
-        delta = np.linalg.norm(P_next - P, "fro")
-        P = P_next
-        if delta < _ARE_TOL:
-            break
-    else:
+def _stages(system, weights, lams):
+    """(lam, stages, rejected) of a grid of penalties: ``stages`` one _Stage (see _stage_at)
+    stacked over them, ``rejected`` the exception each one raises alone (an
+    AssumptionViolated or NoConvergence rejects it), or None; a rejected penalty's fields
+    are not to be read. compute_phi's ValueError comes first; then, in order: assumption 1
+    at the first iterate Q, (A, proj_psd(Phi)^1/2) stabilizable and (A, Q^1/2) observable;
+    value iteration from Q to a Frobenius change below 1e-12 within 1e5 sweeps, with
+    assumption 1 at each, so an inadmissible lam fails fast; at the fixed point assumption
+    1, residual below 1e-9 and A'(I + P Phi)^-1 strictly stable. Each check runs over the
+    stack of the penalties still standing, and penalty by penalty when it raises
+    (``_by_lane``), so each gets the stage, or the exception, it gets alone."""
+    A, Q, n = system.A, weights.Q, system.n_x
+    lam = np.array([float(value) for value in lams])
+    phi = np.array([compute_phi(system, weights, value).matrix for value in lam]).reshape(-1, n, n)
+    rejected, change = [None] * len(lam), np.zeros(len(lam))
+    P, S, inv1_PA, T1 = np.zeros((4, len(lam), n, n))
+    W = np.zeros((len(lam), n, n)).swapaxes(-1, -2)  # each W a transposed solve, as _stage_at's
+    P[:] = sym(Q)
+
+    def standing(check, lanes):
+        _by_lane(check, lanes, rejected.__setitem__)
+        return np.array([i for i in lanes if rejected[i] is None], dtype=int)
+
+    def regular(i):
+        _require_dominance(lam[i], Q, "at the first iterate")
+        if not is_stabilizable(A, psd_sqrt(psd_project(phi[i]))).all():
+            raise AssumptionViolated("3 (control regularity)", "(A, Phi^1/2) is not stabilizable")
+        if not is_observable(A, psd_sqrt(Q)):
+            raise AssumptionViolated("3 (control regularity)", "(A, Q^1/2) is not observable")
+
+    def step(i):
+        P_next = _riccati_step(A, Q, phi[i], lam[i], P[i], "at sweep %d" % sweep)[0]
+        change[i], P[i] = frobenius(P_next - P[i]), P_next
+
+    def capped(i):
         raise NoConvergence("value iteration for the steady-state equation hit %d iterations" % _ARE_MAX_ITER)
 
-    stage, P_next = _stage_at(system, weights, lam, phi, P)
-    residual = np.linalg.norm(P - P_next, "fro")
-    if residual >= _ARE_RESIDUAL_TOL:
-        raise NoConvergence("steady-state equation residual %.3e above %.1e" % (residual, _ARE_RESIDUAL_TOL))
-    if spectral_radius(stage.W) >= 1.0:
-        raise AssumptionViolated("3 (control regularity)", "penalized closed-loop map is not stable")
-    return P
+    def certify(i):
+        stage, P_next = _stage_at(system, weights, lam[i], phi[i], P[i])
+        residual = frobenius(P[i] - P_next)
+        if (residual >= _ARE_RESIDUAL_TOL).any():
+            raise NoConvergence("steady-state equation residual %.3e above %.1e"
+                                % (residual.max(), _ARE_RESIDUAL_TOL))
+        if (np.abs(np.linalg.eigvals(stage.W)).max(axis=-1) >= 1.0).any():
+            raise AssumptionViolated("3 (control regularity)", "penalized closed-loop map is not stable")
+        S[i], inv1_PA[i], T1[i], W[i] = stage.S, stage.inv1_PA, stage.T1, stage.W
+
+    live = standing(regular, np.arange(len(lam)))
+    for sweep in range(_ARE_MAX_ITER):
+        if not len(live):
+            break
+        live = standing(step, live)
+        live = live[~(change[live] < _ARE_TOL)]
+    standing(capped, live)
+    standing(certify, np.flatnonzero([exc is None for exc in rejected]))
+    return lam, _Stage(phi, P, S, inv1_PA, T1, W), rejected
 
 
 def _stage_at(system, weights, lam, phi, P):
     """The nominal-free half of the steady policy at P, (Phi, P, S, (I + P Phi)^-1 P A,
     T1 = I + P Phi, W = A'(I + P Phi)^-1), and the Riccati map's value there; tests
-    assumption 1 at P."""
+    assumption 1 at P. For one penalty or for a stack of lanes."""
     P_next, inv1_PA = _riccati_step(system.A, weights.Q, phi, lam, P, "at P_ss")
     T1 = np.eye(system.n_x) + P @ phi
     S = sym(weights.Q + system.A.T @ P @ system.A - P)
-    return _Stage(phi, P, S, inv1_PA, T1, np.linalg.solve(T1.T, system.A).T), P_next
+    W = np.linalg.solve(T1.swapaxes(-1, -2), system.A).swapaxes(-1, -2)
+    return _Stage(phi, P, S, inv1_PA, T1, W), P_next
 
 
 def _steady_policy(system, weights, w_hat, lam, stage):

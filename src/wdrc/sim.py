@@ -19,9 +19,10 @@ import numpy as np
 
 from ._linalg import spectral_radius
 from .ambiguity import bures_squared
-from .design import _grid_rows, _stage, _tuned, default_lambda_grid
+from .design import _grid_rows, _tuned, default_lambda_grid
 from .exceptions import AssumptionViolated, NoConvergence
 from .model import Gaussian, _as_vector, empirical_moments
+from .riccati import _stages
 
 __all__ = [
     "SimulationTrace",
@@ -316,10 +317,10 @@ def out_of_sample_curve(system, weights, truth, sample_sizes, thetas, runs,
         if size < 1:
             raise ValueError("%s must be >= 1, got %r" % (name, size))
     try:
-        stages = [_stage(system, weights, lam) for lam in (
-            default_lambda_grid(system, weights) if lambda_grid is None else lambda_grid)]
+        staged = _stages(system, weights, (
+            default_lambda_grid(system, weights) if lambda_grid is None else lambda_grid))
     except (AssumptionViolated, NoConvergence) as exc:  # from the default grid
-        stages = exc
+        staged = exc
     base = _seed_sequence(base_seed)
     rows = []
     for i, n_samples in enumerate(sample_sizes):
@@ -331,11 +332,11 @@ def out_of_sample_curve(system, weights, truth, sample_sizes, thetas, runs,
                 rng = np.random.default_rng(train_seed)
                 samples = np.atleast_2d(truth.sample(rng, int(n_samples)))
                 nominals.append(empirical_moments(samples, jitter=jitter))
-            if isinstance(stages, Exception):
-                tuned = [stages] * dataset_draws
+            if isinstance(staged, Exception):
+                tuned = [staged] * dataset_draws
             else:
                 tuned = [_tuned(curve, theta)
-                         for curve in _grid_rows(system, weights, nominals, theta, stages)]
+                         for curve in _grid_rows(system, weights, nominals, theta, staged)]
             bundles, seeds, bounds = [], [], []
             for d, outcome in enumerate(tuned):
                 if isinstance(outcome, Exception):  # a recorded failure, not simulated
@@ -364,22 +365,6 @@ def out_of_sample_curve(system, weights, truth, sample_sizes, thetas, runs,
                 "failures": failures,
             })
     return rows
-
-
-def _trace_table(trace):
-    """(header, rows) of one trace: t, states, estimates, inputs, outputs, stage cost."""
-    n = trace.x.shape[1]
-    nu = trace.u.shape[1]
-    ny = trace.y.shape[1]
-    header = (["t"]
-              + ["x_%d" % i for i in range(n)]
-              + ["xhat_%d" % i for i in range(n)]
-              + ["u_%d" % i for i in range(nu)]
-              + ["y_%d" % i for i in range(ny)]
-              + ["stage_cost"])
-    rows = [[t, *trace.x[t], *trace.x_hat[t], *trace.u[t], *trace.y[t],
-             trace.stage_cost[t]] for t in range(trace.horizon)]
-    return header, rows
 
 
 @dataclass(frozen=True)

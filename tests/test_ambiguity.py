@@ -34,8 +34,8 @@ from wdrc.ambiguity import (
     _steady_lanes,
     _tr_sqrt_and_grad,
 )
-from wdrc.design import _stage
 from wdrc.estimator import _measurement_update
+from wdrc.riccati import _stages
 from helpers import (
     ZERO_A,
     newton_sqrt,
@@ -361,9 +361,8 @@ def _backtracking_lanes(scales):
     candidates and 11 backtracking trials, 6 of them accepted."""
     system, weights, nominal, lam, _ = random_admissible(np.random.default_rng(4), 3)
     lams = lam * np.asarray(scales, dtype=float)
-    stages = [_stage(system, weights, lam_k)[1] for lam_k in lams]
-    return (system, nominal, np.stack([stage.S for stage in stages]),
-            np.stack([stage.P for stage in stages]), lams)
+    stages = _stages(system, weights, lams)[1]
+    return system, nominal, stages.S, stages.P, lams
 
 
 class TestLaneDriver:

@@ -1,3 +1,4 @@
+import itertools
 import time
 from datetime import timedelta
 
@@ -296,9 +297,9 @@ class TestTuneLambda:
         # tunes to the same designs as design_wdrc solving each stage itself
         system, weights, nominal, grid = _grid_case(plant)
         theta = 0.05
-        stages = [wdrc.design._stage(system, weights, lam) for lam in grid]
+        staged = wdrc.riccati._stages(system, weights, grid)
         for _ in range(2):  # a second nominal reuses the same stages
-            curve = wdrc.design._grid_rows(system, weights, [nominal], theta, stages)[0]
+            curve = wdrc.design._grid_rows(system, weights, [nominal], theta, staged)[0]
             rows = wdrc.design._tuned(curve, theta)[0]
             assert [r["lam"] for r in rows] == grid
             for row, lam in zip(rows, grid):
@@ -333,9 +334,9 @@ class TestTuneLambda:
         # one stack of one lane per grid penalty, and no second design at lam*
         stacks, singles, designs = [], [], wdrc.design._designs
 
-        def counting(system, weights, lanes, *args):
-            stacks.append(len(lanes))
-            return designs(system, weights, lanes, *args)
+        def counting(system, weights, nominals, staged, *args):
+            stacks.append(len(nominals) * len(staged[0]))
+            return designs(system, weights, nominals, staged, *args)
 
         monkeypatch.setattr(wdrc.design, "_designs", counting)
         monkeypatch.setattr(wdrc.design, "design_wdrc", lambda *args, **kw: singles.append(args))
@@ -358,11 +359,11 @@ class TestLaneStack:
                  for lam in (1.5, 4.0, 10.0)]
         cases += [(system, weights, nominal, lam, 1e-3)
                   for lam in (7678.130002062385, 15394.36657151753, 30865.13540075521)]
-        outcomes = []  # one stack per plant
+        outcomes = []  # one stack per plant, one nominal times its three penalties
         for plant in (cases[:3], cases[3:]):
-            sys_, w, _, _, theta = plant[0]
-            lanes = [(nom, wdrc.design._stage(sys_, w, lam)) for _, _, nom, lam, _ in plant]
-            outcomes += wdrc.design._designs(sys_, w, lanes, theta)
+            sys_, w, nom, _, theta = plant[0]
+            staged = wdrc.riccati._stages(sys_, w, [lam for _, _, _, lam, _ in plant])
+            outcomes += wdrc.design._designs(sys_, w, [nom], staged, theta)
         kinds = set()
         for (sys_, w, nom, lam, theta), outcome in zip(cases, outcomes):
             try:
@@ -376,15 +377,15 @@ class TestLaneStack:
 
     def test_shared_rejection_keeps_its_traceback(self):
         # lanes sharing a rejected stage return its exception unraised, so its
-        # traceback stays the one caught in solve_are, whatever the lane count
-        staged = wdrc.design._stage(REF["system"], REF["weights"], 1.5)
-        exc, tb = staged[1], staged[1].__traceback__
-        outcomes = wdrc.design._designs(REF["system"], REF["weights"],
-                                        [(REF["nominal"], staged)] * 3)
+        # traceback stays the one caught in riccati._stages, whatever the lane count
+        staged = wdrc.riccati._stages(REF["system"], REF["weights"], [1.5])
+        exc, tb = staged[2][0], staged[2][0].__traceback__
+        outcomes = wdrc.design._designs(REF["system"], REF["weights"], [REF["nominal"]] * 3, staged)
         assert all(outcome is exc for outcome in outcomes) and exc.__traceback__ is tb
         with pytest.raises(AssumptionViolated) as info:
             design_wdrc(REF["system"], REF["weights"], REF["nominal"], 1.5)
-        assert "solve_are" in [entry.name for entry in info.traceback]
+        names = [entry.name for entry in info.traceback]
+        assert names[-2:] == ["_riccati_step", "_require_dominance"]
 
     def test_first_uncaught_exception_in_grid_order_propagates(self, monkeypatch):
         policy = wdrc.design._steady_policy
@@ -417,7 +418,9 @@ def _same_outcome(got, alone):
 
 class TestStackProperty:
     """Property: on random 1- to 3-state plants, every lane of a stack of 2 to 6
-    designs ends as its stack of one (``design_wdrc``), whatever its neighbours.
+    designs, one or two nominals times a list of penalties (each list drawn with
+    repeats and in any order), ends as its stack of one (``design_wdrc``), whatever
+    its neighbours.
     The draws mix full-rank and rank-deficient nominal covariances with the two
     penalties that bracket the admissibility floor to 0.2 % (bisected by staging,
     so one is rejected and one is just admissible) and comfortably admissible
@@ -429,15 +432,16 @@ class TestStackProperty:
     @settings(max_examples=10, deadline=timedelta(seconds=20), derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 3),
-           lanes=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), min_size=2,
-                          max_size=6))
-    def test_each_lane_equals_its_stack_of_one(self, seed, n, lanes):
+           picks=st.lists(st.integers(0, 2), min_size=1, max_size=2).flatmap(
+               lambda picks: st.tuples(st.just(picks), st.lists(
+                   st.integers(0, 3), min_size=2 // len(picks), max_size=6 // len(picks)))))
+    def test_each_lane_equals_its_stack_of_one(self, seed, n, picks):
         rng = np.random.default_rng(seed)
         system, weights, nominal, lam, _ = random_admissible(rng, n)
         below, above = max_eigval(wdrc.solve_are(system, weights, 1e9)), lam
         while above > 1.002 * below:
             mid = np.sqrt(below * above)
-            if isinstance(wdrc.design._stage(system, weights, mid)[1], Exception):
+            if wdrc.riccati._stages(system, weights, [mid])[2][0] is not None:
                 below = mid
             else:
                 above = mid
@@ -449,10 +453,10 @@ class TestStackProperty:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(wdrc.ambiguity, "_FILTER_MAX_ITER", 1000)
             patch.setattr(wdrc.ambiguity, "_ASCENT_MAX_ITER", 150)
-            stages = [wdrc.design._stage(system, weights, value) for value in lams]
-            stack = [(nominals[j], stages[k]) for j, k in lanes]
-            outcomes = wdrc.design._designs(system, weights, stack)
-            for (j, k), outcome in zip(lanes, outcomes):
+            noms, pens = picks
+            staged = wdrc.riccati._stages(system, weights, [lams[k] for k in pens])
+            outcomes = wdrc.design._designs(system, weights, [nominals[j] for j in noms], staged)
+            for (j, k), outcome in zip(itertools.product(noms, pens), outcomes):
                 try:
                     alone = design_wdrc(system, weights, nominals[j], lams[k])
                 except Exception as exc:

@@ -1,4 +1,5 @@
 import time
+import traceback
 import warnings
 
 import numpy as np
@@ -17,10 +18,12 @@ from wdrc import (
     steady_state_policy_params,
 )
 from wdrc._linalg import spectral_radius
+from wdrc.riccati import _stage_at, _stages
 
 from helpers import (
     REF,
     admissible_lambda,
+    random_admissible,
     random_system,
     scalar_nominal,
     scalar_system,
@@ -152,6 +155,106 @@ class TestSolveAre:
             phi = compute_phi(system, weights, lam).matrix
             closed = system.A.T @ np.linalg.inv(np.eye(3) + P @ phi)
             assert spectral_radius(closed) < 1.0
+
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_nonpositive_penalty_fails_assumption_1_first(self, lam):
+        with pytest.raises(AssumptionViolated, match="assumption 1 .* at the first iterate"):
+            solve_are(REF["system"], REF["weights"], lam)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_undefined_penalty_is_a_value_error(self, lam):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            solve_are(REF["system"], REF["weights"], lam)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+    def test_designs_reject_an_invalid_penalty_before_staging(self, lam):
+        args = REF["system"], REF["weights"], REF["nominal"]
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            design_wdrc(*args, lam)
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            wdrc.evaluate_lambda_grid(*args, 0.1, [lam, 4.0])
+
+
+def _floor_bracket(system, weights, lam):
+    """The two penalties bracketing the plant's admissibility floor to 0.2 %, bisected
+    by staging from the floor's estimate up to the admissible ``lam``."""
+    below, above = wdrc._linalg.max_eigval(solve_are(system, weights, 1e9)), lam
+    while above > 1.002 * below:
+        mid = np.sqrt(below * above)
+        if _stages(system, weights, [mid])[2][0] is not None:
+            below = mid
+        else:
+            above = mid
+    return below, above
+
+
+def _assert_lanes_stand_alone(system, weights, lams):
+    """Each penalty of one _stages stack ends byte for byte as its stack of one: every
+    stage field, memory order included, or the exception's type, message and assumption.
+    An accepted penalty's stage is the one _stage_at forms alone at its P."""
+    _, stages, rejected = _stages(system, weights, lams)
+    for i, lam in enumerate(lams):
+        _, alone, (exc,) = _stages(system, weights, [lam])
+        if exc is None:
+            assert rejected[i] is None, rejected[i]
+            lone = _stage_at(system, weights, lam, stages.phi[i], stages.P[i])[0]
+            for got, want, single in zip(stages, alone, lone):
+                assert got[i].tobytes() == want[0].tobytes() == single.tobytes()
+                assert got[i].strides == want[0].strides == single.strides
+        else:
+            assert type(rejected[i]) is type(exc) and str(rejected[i]) == str(exc)
+            assert getattr(rejected[i], "assumption", None) == getattr(exc, "assumption", None)
+    return rejected
+
+
+class TestStages:
+    """``riccati._stages`` stages a grid of penalties as one stack; each penalty's
+    stage, or its rejection, is the one it gets alone."""
+
+    def test_reference_plant(self):
+        # 1.5 crosses lam within a few sweeps; 2 is the floor, with no certified gap
+        rejected = _assert_lanes_stand_alone(REF["system"], REF["weights"],
+                                             [10.0, 1.5, 2.0, 4.0, 1e6, 1.5])
+        assert [exc is None for exc in rejected] == [True, False, False, True, True, False]
+
+    def test_grid_tune_penalties(self):
+        system, weights = wdrc.synthetic_power_grid()
+        rejected = _assert_lanes_stand_alone(system, weights,
+                                             np.geomspace(29.403874434189913, 1e6, 16))
+        assert [str(exc) for exc in rejected[:2]] == [
+            "assumption 3 (control regularity) violated: (A, Phi^1/2) is not stabilizable"] * 2
+        assert ["at sweep 11 " in str(rejected[2]), "at sweep 28 " in str(rejected[3])] == [True] * 2
+        assert [exc.assumption for exc in rejected[2:4]] == ["1 (penalty dominance)"] * 2
+        assert rejected[4:] == [None] * 12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_plants_with_their_floor(self, n):
+        system, weights, _, lam, _ = random_admissible(np.random.default_rng(40 + n), n)
+        below, above = _floor_bracket(system, weights, lam)
+        rejected = _assert_lanes_stand_alone(system, weights,
+                                             [lam, below, 4.0 * lam, above, below, 0.5 * below])
+        assert rejected[1] is not None and rejected[3] is None
+
+    def test_capped_lane_ends_alone_while_the_others_finish(self, monkeypatch):
+        # on REF, lam = 10 converges in 16 sweeps and lam = 2.5 in 20
+        monkeypatch.setattr(wdrc.riccati, "_ARE_MAX_ITER", 17)
+        rejected = _assert_lanes_stand_alone(REF["system"], REF["weights"], [2.5, 10.0, 1.5])
+        assert str(rejected[0]) == "value iteration for the steady-state equation hit 17 iterations"
+        assert rejected[1] is None and "assumption 1" in str(rejected[2])
+
+    def test_rejection_keeps_the_traceback_it_was_caught_with(self):
+        _, _, rejected = _stages(REF["system"], REF["weights"], [0.5, 4.0, 1.5])
+        for exc, raised_in in ((rejected[0], "regular"), (rejected[2], "step")):
+            names = [frame.name for frame in traceback.extract_tb(exc.__traceback__)]
+            assert raised_in in names and names[-1] == "_require_dominance"
+
+    def test_value_error_comes_before_any_check(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(wdrc.riccati, "_require_dominance", lambda *args: checked.append(args))
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            _stages(REF["system"], REF["weights"], [0.5, 4.0, np.nan])
+        assert checked == []
 
 
 class TestSteadyPolicyParams:

@@ -366,7 +366,7 @@ class TestOutOfSampleCurve:
         designs = wdrc.design._designs
 
         def counting(*args, **kwargs):
-            calls.extend((id(nominal), staged[0]) for nominal, staged in args[2])
+            calls.extend((id(nominal), float(lam)) for nominal in args[2] for lam in args[3][0])
             return designs(*args, **kwargs)
 
         monkeypatch.setattr(wdrc.design, "_designs", counting)
@@ -381,16 +381,17 @@ class TestOutOfSampleCurve:
     @pytest.mark.parametrize("grid", [[4.0, 8.0, 16.0], None])
     def test_solves_each_stage_once(self, monkeypatch, grid):
         # the Riccati stage depends on the plant and penalty only, so a 3-draw
-        # cell solves each penalty's stage once; the default grid (one solve at
-        # its upper end plus 40 stages) is also built once per call
+        # cell stages each penalty once; the default grid (one solve_are at its
+        # upper end, a stage of one, plus 40 stages) is also built once per call
         calls = []
-        solve = wdrc.design.solve_are
+        stages = wdrc.riccati._stages
 
         def counting(*args, **kwargs):
-            calls.append(args[2])
-            return solve(*args, **kwargs)
+            calls.extend(args[2])
+            return stages(*args, **kwargs)
 
-        monkeypatch.setattr(wdrc.design, "solve_are", counting)
+        for module in (wdrc.riccati, wdrc.design, wdrc.sim):
+            monkeypatch.setattr(module, "_stages", counting)
         rows = out_of_sample_curve(REF["system"], REF["weights"], Gaussian([0.0], [[1.0]]),
                                    [20], [0.05], runs=2, base_seed=3, dataset_draws=3,
                                    horizon=20, lambda_grid=grid)
@@ -530,10 +531,10 @@ class TestBatchedCell:
         # 320-lane stack; each lane equals the same (nominal, lam) designed alone
         system, weights, truth = _small_oos_plant()
         theta = wdrc.radius_from_samples(20, 2, 0.05)
-        stages = [wdrc.design._stage(system, weights, lam) for lam in np.geomspace(4.0, 1e4, 8)]
+        staged = wdrc.riccati._stages(system, weights, np.geomspace(4.0, 1e4, 8))
         nominals = _small_oos_nominals(truth)
         tuned = [wdrc.design._tuned(rows, theta)
-                 for rows in wdrc.design._grid_rows(system, weights, nominals, theta, stages)]
+                 for rows in wdrc.design._grid_rows(system, weights, nominals, theta, staged)]
         assert len(tuned) == 40
         for nominal, (rows, _, _) in zip(nominals, tuned):
             for row in rows:
@@ -543,24 +544,24 @@ class TestBatchedCell:
     @pytest.mark.parametrize("staged", [False, True], ids=["raw", "staged"])
     def test_nominal_free_work_scales_with_the_grid(self, monkeypatch, staged):
         # Phi, P and S read only the plant, the weights and the penalty, so a
-        # 40-nominal x 8-penalty tuning solves them per penalty, not per lane
+        # 40-nominal x 8-penalty tuning solves them once per penalty, not per lane,
+        # and a grid staged beforehand solves them no more
         system, weights, truth = _small_oos_plant()
         grid = np.geomspace(4.0, 1e4, 8)
-        stage = wdrc.design._stage
-        stages = [stage(system, weights, lam) for lam in grid] if staged else None
+        stages = wdrc.riccati._stages
+        prestaged = stages(system, weights, grid) if staged else None
         compute_phi, calls = wdrc.riccati.compute_phi, []
 
         def counting(*args):
             calls.append(args)
             return compute_phi(*args)
 
-        for module in (wdrc.riccati, wdrc.design):
-            monkeypatch.setattr(module, "compute_phi", counting)
-        stages = stages or [stage(system, weights, lam) for lam in grid]
-        curves = wdrc.design._grid_rows(system, weights, _small_oos_nominals(truth), 0.1, stages)
+        monkeypatch.setattr(wdrc.riccati, "compute_phi", counting)
+        curves = wdrc.design._grid_rows(system, weights, _small_oos_nominals(truth), 0.1,
+                                        prestaged or stages(system, weights, grid))
         tuned = [wdrc.design._tuned(rows, 0.1) for rows in curves]
         assert [len(rows) for rows, _, _ in tuned] == [8] * 40
-        assert len(calls) <= 2 * len(grid)
+        assert len(calls) == (0 if staged else len(grid))
 
     def test_row_values_are_builtin(self):
         system, weights, truth = _small_oos_plant()
