@@ -39,9 +39,9 @@ is frozen with its result or its exception. Omega (a blocked Kronecker
 Lyapunov solve when stationary) is solved only where it is read: at starts,
 candidates and accepted trials. Each stacked kernel gives every matrix the
 arithmetic it gets alone, so a lane's result, or the exception it raises, does
-not depend on what it is stacked with; a stacked call that raises is run again
-lane by lane (``_by_lane``). A single solve is a stack of one; designs
-(``design._designs``) run ``_steady_lanes``.
+not depend on what it is stacked with. Every stacked stage calls ``_by_lane``,
+which reruns a raising call lane by lane, stores each lane's exception as its
+outcome and returns the lanes still standing. A single solve is a stack of one.
 """
 
 from __future__ import annotations
@@ -101,16 +101,11 @@ def _as_moments(m):
     return np.asarray(mean, dtype=float).reshape(-1), np.asarray(cov, dtype=float)
 
 
-def _psd_input_errors(covs, name):
-    """The ValueError for each covariance of a stack that is not PSD, or None."""
-    return [ValueError("%s must be PSD (min eigenvalue %.3e)" % (name, w)) if w < -1e-10 else None
-            for w in min_eigval(covs)]
-
-
 def _check_psd_input(cov, name):
-    error = _psd_input_errors(np.asarray(cov)[None], name)[0]
-    if error is not None:
-        raise error
+    """Raise a ValueError unless ``cov``, or each matrix of a stack of them, is PSD."""
+    w = min_eigval(np.asarray(cov, dtype=float))
+    if np.any(w < -1e-10):
+        raise ValueError("%s must be PSD (min eigenvalue %.3e)" % (name, np.min(w)))
 
 
 def bures_squared(cov_a, cov_b, sqrt_fn=None):
@@ -142,10 +137,16 @@ def gelbrich_distance(moments_a, moments_b, sqrt_fn=None):
 
     Depends on the two distributions only through their first two moments; it
     lower-bounds the 2-Wasserstein distance in general and equals it when both
-    distributions are Gaussian.
+    distributions are Gaussian. Raises ValueError, naming the argument, unless
+    each mean's size is its covariance's side and both pairs share that dimension.
     """
     mean_a, cov_a = _as_moments(moments_a)
     mean_b, cov_b = _as_moments(moments_b)
+    n = mean_a.size
+    for name, mean, cov in (("moments_a", mean_a, cov_a), ("moments_b", mean_b, cov_b)):
+        if (mean.size,) + cov.shape != (n, n, n):
+            raise ValueError("%s: mean of size %d and covariance of shape %s do not match "
+                             "dimension %d" % (name, mean.size, cov.shape, n))
     b2 = bures_squared(cov_a, cov_b, sqrt_fn)
     return float(np.sqrt(np.sum((mean_a - mean_b) ** 2) + b2))
 
@@ -207,22 +208,28 @@ def _filter_fixpoint(A, C, M, sigma, start):
     raise NoConvergence("filter covariance recursion hit %d iterations" % _FILTER_MAX_ITER)
 
 
-def _by_lane(fn, lanes, fail):
-    """Run ``fn(lanes)``, one stacked call over an index array of lanes. If it raises,
-    run ``fn`` on each lane alone and pass every exception raised to ``fail(lane, exc)``.
-    The stacked kernels give each lane the arithmetic it gets alone, so the lanes that
-    do not raise end as they would have in the stacked call. ``fn`` writes its results
-    only after the last operation that can raise."""
+def _by_lane(fn, lanes, outcomes):
+    """Run ``fn(lanes)``, one stacked call over an index array of lanes, and return the
+    lanes still standing: ``lanes`` itself if it does not raise, else the lanes whose lone
+    call ``fn(np.array([lane]))`` did not raise, in order, each other lane's exception
+    stored at ``outcomes[lane]``. The stacked kernels give each lane the arithmetic it
+    gets alone, so a standing lane ends as it would have in the stacked call. ``fn``
+    writes its results only after the last operation that can raise."""
     if not len(lanes):
-        return
+        return lanes
     try:
         fn(lanes)
     except Exception:
+        standing = []
         for lane in lanes:
             try:
                 fn(np.array([lane]))
             except Exception as exc:  # the lane's own failure, for its caller to raise or record
-                fail(lane, exc)
+                outcomes[lane] = exc
+            else:
+                standing.append(lane)
+        return np.array(standing, dtype=int)
+    return lanes
 
 
 def _total(a):
@@ -254,7 +261,8 @@ class _Ascent:
     lane. A lane ends in one place, ``_end``: it converged (residual at most
     _ASCENT_TOL), used all _ASCENT_MAX_ITER sweeps, or stalled (no improving step,
     or five sweeps without a gain above float resolution). Only an exception that
-    a handler raises ends a lane elsewhere, through ``_by_lane``'s callback.
+    a handler raises ends a lane elsewhere: ``_by_lane`` stores it as the lane's
+    outcome, and ``_call`` marks the lane done.
 
     The stationarity residual is the projected-gradient mapping norm divided
     by max(1, lam): gradient entries are differences of O(lam) terms, so an
@@ -278,18 +286,18 @@ class _Ascent:
     def run(self):
         handlers = ((_START, self._started), (_CANDIDATE, self._candidate), (_TRIAL, self._tried),
                     (_SWEEP, self._sweep), (_BACKTRACK, self._backtrack), (_END, self._end))
-        _by_lane(self._init, np.arange(len(self.lam)), self._finish)
-        while True:
-            asking = np.flatnonzero(self.phase <= _TRIAL)
-            if not len(asking):
-                return self.outcomes
-            _by_lane(self._evaluate, asking, self._finish)
+        self._call(self._init, np.arange(len(self.lam)))
+        while len(asking := np.flatnonzero(self.phase <= _TRIAL)):
+            self._call(self._evaluate, asking)
             for phase, handler in handlers:
-                _by_lane(handler, np.flatnonzero(self.phase == phase), self._finish)
+                self._call(handler, np.flatnonzero(self.phase == phase))
+        return self.outcomes
 
-    def _finish(self, i, outcome):
-        self.outcomes[i] = outcome
-        self.phase[i] = _DONE
+    def _call(self, handler, lanes):
+        """``handler(lanes)`` through ``_by_lane``: a lane that raises ends with its exception."""
+        standing = _by_lane(handler, lanes, self.outcomes)
+        if len(standing) < len(lanes):
+            self.phase[np.setdiff1d(lanes, standing)] = _DONE
 
     def _lam(self, i):
         return self.lam[i][:, None, None]
@@ -441,7 +449,8 @@ class _Ascent:
                 outcome = NoConvergence(
                     "worst-case covariance ascent stalled at normalized residual %.3e after %d "
                     "iterations" % (residual, iterations))
-            self._finish(lane, outcome)
+            self.outcomes[lane] = outcome
+        self.phase[i] = _DONE
 
 
 def _unwrap(outcome):
@@ -486,8 +495,9 @@ def _steady_lanes(system, S, P, sigma_hat, lam):
     meets it where a lone solve would, after its own Sh check."""
     A, C, M = system.A, system.C, system.M
     sigma_hat = np.asarray(sigma_hat, dtype=float)
-    outcomes = _psd_input_errors(sigma_hat, "sigma_hat")
-    lanes = np.array([i for i, error in enumerate(outcomes) if error is None], dtype=int)
+    outcomes = [None] * len(sigma_hat)
+    lanes = _by_lane(lambda i: _check_psd_input(sigma_hat[i], "sigma_hat"), np.arange(len(sigma_hat)),
+                     outcomes)
     if len(lanes) and not is_detectable(A, C):  # the filter recursions could never converge
         for i in lanes:
             outcomes[i] = AssumptionViolated("4 (filter regularity)", "(A, C) is not detectable")
@@ -497,13 +507,13 @@ def _steady_lanes(system, S, P, sigma_hat, lam):
                       _steady_coupling, _steady_sensitivity).run()
     for i, outcome in zip(lanes, results):
         outcomes[i] = outcome
-    solved = np.array([i for i in lanes if isinstance(outcomes[i], WorstCaseCovResult)], dtype=int)
+    solved = lanes[[not isinstance(outcome, Exception) for outcome in results]]
 
     def certify(i):
         _certified_filter_pair(A, C, M, np.array([outcomes[j].sigma_star for j in i]),
                                np.array([outcomes[j].x_prior for j in i]))
 
-    _by_lane(certify, solved, outcomes.__setitem__)
+    _by_lane(certify, solved, outcomes)
     return outcomes
 
 

@@ -138,37 +138,28 @@ def _designs(system, weights, nominals, staged, theta=None, seed=None):
     w_hat = np.array([nom.w_hat for nom in nominal])
     sigma_hat = np.array([nom.sigma_hat for nom in nominal])
     policy = [np.zeros((count,) + shape) for shape in ((n,), (n_u, n), (n_u,), (n, n), (n,))]
+    rho = np.zeros(count)
+    gain = np.zeros((count, system.n_y, n)).swapaxes(-1, -2)  # each gain a transpose, as steady_gain's
 
     def solve_policy(i):
         for out, value in zip(policy, _steady_policy(
                 system, weights, w_hat[i], lam[i], _Stage(*(field[i] for field in stage)))):
             out[i] = value
 
-    lanes = np.flatnonzero([outcome is None for outcome in outcomes])
-    _by_lane(solve_policy, lanes, outcomes.__setitem__)
-    posed = np.array([i for i, outcome in enumerate(outcomes) if outcome is None], dtype=int)
-    results = _steady_lanes(system, stage.S[posed], stage.P[posed], sigma_hat[posed], lam[posed])
-    wc = {}
-    x_cov, x_prior = np.zeros((2, count, n, n))
-    z, rho = np.zeros(count), np.zeros(count)
-    gain = np.zeros((count, system.n_y, n)).swapaxes(-1, -2)  # each gain a transpose, as steady_gain's
-    for i, result in zip(posed, results):
-        if isinstance(result, Exception):
-            outcomes[i] = result
-        else:
-            wc[i], x_cov[i], x_prior[i], z[i] = result, result.x_cov, result.x_prior, result.objective
-    solved = np.array(list(wc), dtype=int)
-
     def finish(i):
+        x_cov, x_prior, z = (np.array([getattr(outcomes[j], field) for j in i])
+                             for field in ("x_cov", "x_prior", "objective"))
         rho[i], gain[i] = (
-            _rho(stage.P[i], stage.phi[i], lam[i], w_hat[i], sigma_hat[i], policy[0][i], z[i]),
-            _steady_gain(x_cov[i], system, x_prior[i], NoConvergence))
+            _rho(stage.P[i], stage.phi[i], lam[i], w_hat[i], sigma_hat[i], policy[0][i], z),
+            _steady_gain(x_cov, system, x_prior, NoConvergence))
 
-    _by_lane(finish, solved, outcomes.__setitem__)
-    for i in solved:
-        if outcomes[i] is not None:
-            continue
-        lam_i, result = float(lam[i]), wc[i]
+    posed = _by_lane(solve_policy, np.flatnonzero([outcome is None for outcome in outcomes]), outcomes)
+    results = _steady_lanes(system, stage.S[posed], stage.P[posed], sigma_hat[posed], lam[posed])
+    for i, result in zip(posed, results):
+        outcomes[i] = result
+    solved = posed[[not isinstance(result, Exception) for result in results]]
+    for i in _by_lane(finish, solved, outcomes):
+        lam_i, result = float(lam[i]), outcomes[i]
         r_i, K, L, H, G = (field[i] for field in policy)
         steady = SteadyStateSolution(
             lam=lam_i, theta=None if theta is None else float(theta),

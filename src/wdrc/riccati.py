@@ -259,14 +259,10 @@ def _stages(system, weights, lams):
     A, Q, n = system.A, weights.Q, system.n_x
     lam = np.array([float(value) for value in lams])
     phi = np.array([compute_phi(system, weights, value).matrix for value in lam]).reshape(-1, n, n)
-    rejected, change = [None] * len(lam), np.zeros(len(lam))
+    rejected, change = [None] * len(lam), np.full(len(lam), np.inf)  # below _ARE_TOL iff converged
     P, S, inv1_PA, T1 = np.zeros((4, len(lam), n, n))
     W = np.zeros((len(lam), n, n)).swapaxes(-1, -2)  # each W a transposed solve, as _stage_at's
     P[:] = sym(Q)
-
-    def standing(check, lanes):
-        _by_lane(check, lanes, rejected.__setitem__)
-        return np.array([i for i in lanes if rejected[i] is None], dtype=int)
 
     def regular(i):
         _require_dominance(lam[i], Q, "at the first iterate")
@@ -292,14 +288,14 @@ def _stages(system, weights, lams):
             raise AssumptionViolated("3 (control regularity)", "penalized closed-loop map is not stable")
         S[i], inv1_PA[i], T1[i], W[i] = stage.S, stage.inv1_PA, stage.T1, stage.W
 
-    live = standing(regular, np.arange(len(lam)))
+    live = _by_lane(regular, np.arange(len(lam)), rejected)
     for sweep in range(_ARE_MAX_ITER):
         if not len(live):
             break
-        live = standing(step, live)
+        live = _by_lane(step, live, rejected)
         live = live[~(change[live] < _ARE_TOL)]
-    standing(capped, live)
-    standing(certify, np.flatnonzero([exc is None for exc in rejected]))
+    _by_lane(capped, live, rejected)
+    _by_lane(certify, np.flatnonzero(change < _ARE_TOL), rejected)
     return lam, _Stage(phi, P, S, inv1_PA, T1, W), rejected
 
 

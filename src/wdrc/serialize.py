@@ -7,6 +7,7 @@ inputs serialize to byte-identical documents.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 
@@ -78,7 +79,7 @@ def write_json(path, obj):
 
 
 def write_csv(path, header, rows):
-    """CSV with LF endings, '.' decimals, and 17-significant-digit floats."""
+    """CSV with LF endings, '.' decimals, 17-significant-digit floats and minimal quoting."""
     def cell(v):
         if v is None:
             return ""
@@ -90,10 +91,10 @@ def write_csv(path, header, rows):
             return format_float(v)
         return str(v)
 
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(v) for v in row) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([cell(v) for v in row] for row in rows)
 
 
 # Field name -> class for the dataclasses nested in a PolicyBundle.

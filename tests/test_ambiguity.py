@@ -31,6 +31,7 @@ from wdrc.ambiguity import (
     _START,
     _TRIAL,
     _Ascent,
+    _by_lane,
     _steady_lanes,
     _tr_sqrt_and_grad,
 )
@@ -83,6 +84,17 @@ class TestGelbrichDistance:
     def test_rejects_indefinite_input(self):
         with pytest.raises(ValueError):
             gelbrich_distance(([0.0], [[-1.0]]), ([0.0], [[1.0]]))
+
+    def test_rejects_mismatched_dimensions(self):
+        eye = np.eye(2)
+        with pytest.raises(ValueError, match="moments_a: mean of size 1 and covariance of shape"):
+            gelbrich_distance(([0.0], eye), ([1.0, 2.0], eye))
+        with pytest.raises(ValueError, match="moments_b: mean of size 1 and covariance of shape"):
+            gelbrich_distance(([0.0, 0.0], eye), ([1.0], eye))
+        with pytest.raises(ValueError, match="moments_b: mean of size 2 and covariance of shape"):
+            gelbrich_distance(([0.0], [[1.0]]), ([1.0, 2.0], [[1.0]]))
+        with pytest.raises(ValueError, match=r"moments_b: .* do not match dimension 1"):
+            gelbrich_distance(([0.0], [[1.0]]), ([1.0, 2.0], eye))
 
     def test_two_root_algorithms_agree(self):
         rng = np.random.default_rng(12)
@@ -498,3 +510,44 @@ class TestLaneDriver:
         alone = worst_case_cov_steady(system, S, P, sigma_hats[1], lams[1])
         assert converged.iterations == alone.iterations == 3
         assert np.array_equal(converged.sigma_star, alone.sigma_star)
+
+
+class TestByLane:
+    """``_by_lane`` runs one stacked call, reruns each lane alone when it raises, stores
+    each failing lane's exception in the ledger and returns the lanes still standing."""
+
+    @staticmethod
+    def _failing_on(bad, calls):
+        def fn(lanes):
+            calls.append(list(lanes))
+            for lane in lanes:
+                if lane in bad:
+                    raise ValueError("lane %d" % lane)
+        return fn
+
+    def test_stacked_success_returns_the_same_lanes(self):
+        lanes, ledger, calls = np.array([0, 2, 3]), [None] * 4, []
+        assert _by_lane(self._failing_on((), calls), lanes, ledger) is lanes
+        assert calls == [[0, 2, 3]]
+        assert ledger == [None] * 4
+
+    def test_failures_land_on_their_lanes_and_the_rest_stand_in_order(self):
+        ledger, calls = [None] * 5, []
+        standing = _by_lane(self._failing_on((1, 3), calls), np.array([4, 3, 1, 0]), ledger)
+        assert list(standing) == [4, 0]
+        assert calls == [[4, 3, 1, 0], [4], [3], [1], [0]]
+        assert [str(exc) if exc is not None else None for exc in ledger] == [
+            None, "lane 1", None, "lane 3", None]
+
+    def test_empty_lanes_never_call_fn(self):
+        calls = []
+        assert len(_by_lane(self._failing_on((), calls), np.array([], dtype=int), [])) == 0
+        assert calls == []
+
+    def test_ledger_holding_results_keeps_its_standing_lanes(self):
+        # the standing set comes from the reruns, not from a scan of the ledger
+        ledger = ["result 0", "result 1", "result 2"]
+        standing = _by_lane(self._failing_on((1,), []), np.array([0, 1, 2]), ledger)
+        assert list(standing) == [0, 2]
+        assert ledger[0] == "result 0" and ledger[2] == "result 2"
+        assert isinstance(ledger[1], ValueError)

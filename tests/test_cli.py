@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -226,6 +227,28 @@ class TestTuneAndSweeps:
         lines = (out / "lambda_curve.csv").read_text().strip().split("\n")
         assert lines[0] == "lam,rho,bound,status"
         assert len(lines) == 3
+
+    def test_sweep_lambda_quotes_rejected_statuses(self, tmp_path):
+        # the three smallest penalties fail assumption 1, whose status text holds commas
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        system = {"A": [[0.85, 0.2], [0.0, 0.7]], "B": eye, "C": eye, "M": [[0.2, 0.0], [0.0, 0.2]],
+                  "m0": [0.0, 0.0], "M0": [[0.05, 0.0], [0.0, 0.05]]}
+        nominal, grid = ([0.0, 0.0], [[0.3, 0.1], [0.1, 0.2]]), [0.5, 1.0, 1.5, 4.0, 40.0]
+        out = tmp_path / "sl"
+        cfg = write_config(tmp_path, {
+            "out_dir": str(out), "lambda_grid": grid, "theta": 0.1, "system": system,
+            "weights": {"Q": eye, "Qf": eye, "R": eye},
+            "truth": {"type": "gaussian", "mean": nominal[0], "cov": nominal[1]},
+            "nominal": {"mean": nominal[0], "cov": nominal[1]}}, drop=("lambda",))
+        assert main(["sweep-lambda", "--config", cfg]) == 0
+        with open(out / "lambda_curve.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [4] * 6
+        expected = wdrc.evaluate_lambda_grid(
+            wdrc.LinearSystem(**system), wdrc.CostWeights(Q=eye, Qf=eye, R=eye),
+            wdrc.NominalMoments(*nominal), 0.1, grid)
+        assert [row[3] for row in rows[1:]] == [row["status"] for row in expected]
+        assert all(", " in row[3] for row in rows[1:4])
 
     def test_sweep_theta(self, tmp_path):
         out = tmp_path / "st"

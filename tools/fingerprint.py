@@ -48,6 +48,10 @@ config in a temporary directory, and prints each artifact's name in the order
 the CLI printed it with the SHA-256 of its bytes (``summary.csv`` without its
 wall-time column).
 Nothing is written outside that directory.
+
+The last line counts the workload checks that reported a problem; the script
+exits 1 if any did, so a seed sweep such as ``--workloads grid_tune --seeds
+$(seq 0 31)`` fails on a single failing certificate.
 """
 
 import os
@@ -268,7 +272,7 @@ def main(argv=None):
     sys.path[:0] = [os.path.join(repo, "src"), os.path.join(repo, "bench")]
     from workloads import WORKLOADS
 
-    names = args.workloads or list(WORKLOADS)
+    names, failed = args.workloads or list(WORKLOADS), 0
     for name in names:
         workload = WORKLOADS[name]
         for seed in args.seeds:
@@ -276,7 +280,9 @@ def main(argv=None):
             out = workload.task(state)
             marks = ", ".join(_show(v) for v in workload.fingerprint(out))
             print("%s seed %d fingerprint: %s" % (name, seed, marks))
-            print("%s seed %d check: %r" % (name, seed, workload.check(state, out)))
+            problems = workload.check(state, out)
+            failed += bool(problems)
+            print("%s seed %d check: %r" % (name, seed, problems))
             for row in out.get("rows", []):
                 print("%s seed %d row: %r %s %r" % (name, seed, row["lam"], row["status"],
                                                     row["rho"]))
@@ -293,7 +299,8 @@ def main(argv=None):
             print("runs %s seed %d: %d calls, %d runs, sha256:%s" % (label, seed, calls, runs,
                                                                      digest))
     _cli_artifacts()
-    return 0
+    print("checks failed: %d of %d" % (failed, len(names) * len(args.seeds)))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
